@@ -64,12 +64,15 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _default_workers() -> int:
+def _workers(args) -> int:
+    """``--workers``, else ``BFKIT_WORKERS``, else 1."""
+    if args.workers is not None:
+        return args.workers
     raw = os.environ.get("BFKIT_WORKERS", "1")
     try:
         return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ValueError(f"BFKIT_WORKERS must be an integer, got {raw!r}") from None
 
 
 def _write_manifest(out_path: str, subcommand: str, params: dict) -> None:
@@ -214,7 +217,7 @@ def _cmd_simulate(args) -> int:
             max_trials=args.max_trials,
             target_failures=args.target_failures,
             master_seed=args.seed,
-            worker_count=args.workers,
+            worker_count=_workers(args),
             chunk_size=args.chunk_size,
         )
         report = run_sim(plan)
@@ -242,7 +245,7 @@ def _cmd_simulate(args) -> int:
             {
                 "source": source.describe(), "t": args.t, "decoder": args.decoder,
                 "iter_max": plan.effective_iter_max, "max_trials": args.max_trials,
-                "target_failures": args.target_failures, "workers": args.workers,
+                "target_failures": args.target_failures, "workers": plan.worker_count,
                 "seed": args.seed, "chunk_size": args.chunk_size,
                 "thresholds": list(thresholds) if thresholds else None,
             },
@@ -332,33 +335,25 @@ def _cmd_decode(args) -> int:
 # -- compare -------------------------------------------------------------------
 
 
-def _faulty_sparse_decode(H, s, iter_max, rng, **kwargs):
-    """Deliberately broken sparse decoder for negative-control runs: burns
-    one tie-break draw, desynchronizing it from the reference decoder."""
-    rng.integers(0, 2)
-    return bfmax_decode_sparse(H, s, iter_max, rng, **kwargs)
-
-
 def _cmd_compare(args) -> int:
     source = FreshQcSource(args.r, args.v)
     try:
+        workers = _workers(args)
         diff_plan = SimPlan(
             source=source, t=args.t, decoder="bfmax-sparse",
             max_trials=args.trials, master_seed=args.seed,
-            worker_count=args.workers, chunk_size=args.chunk_size,
+            worker_count=workers, chunk_size=args.chunk_size,
         )
         op_plan = SimPlan(
             source=source, t=args.t, decoder="bfmax-sparse",
             max_trials=args.opcount_trials, master_seed=args.seed + 1,
-            worker_count=args.workers, chunk_size=args.chunk_size,
+            worker_count=workers, chunk_size=args.chunk_size,
         )
+        diff = differential_campaign(diff_plan)
+        validation = opcount_validation(op_plan)
     except ValueError as exc:
         print(f"compare: error: {exc}", file=sys.stderr)
         return 1
-
-    impl = _faulty_sparse_decode if args.inject_fault else None
-    diff = differential_campaign(diff_plan, sparse_impl=impl)
-    validation = opcount_validation(op_plan)
 
     lines = ["term,measured,predicted,ratio,format_version"]
     for row in validation.rows:
@@ -374,7 +369,7 @@ def _cmd_compare(args) -> int:
             {
                 "r": args.r, "v": args.v, "t": args.t, "trials": args.trials,
                 "opcount_trials": args.opcount_trials, "seed": args.seed,
-                "workers": args.workers,
+                "workers": workers,
             },
         )
 
@@ -432,7 +427,7 @@ def _build_parser() -> _Parser:
                    help="comma-separated per-iteration thresholds (bf only)")
     p.add_argument("--max-trials", type=int, default=10000)
     p.add_argument("--target-failures", type=int, default=1_000_000_000)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=None, help="default: BFKIT_WORKERS, else 1")
     p.add_argument("--chunk-size", type=int, default=512)
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", default=None, help="append CSV row here")
@@ -457,10 +452,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--opcount-trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=None, help="default: BFKIT_WORKERS, else 1")
     p.add_argument("--chunk-size", type=int, default=512)
     p.add_argument("--out", default=None)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_compare)
 
     return parser

@@ -85,6 +85,14 @@ class SparseParityCheck:
     def row_support(self, j: int) -> np.ndarray:
         return self.row_indices[self.row_ptr[j]:self.row_ptr[j + 1]]
 
+    def row_entries(self, rows: np.ndarray) -> tuple[np.ndarray, int | list[int]]:
+        """Column indices of ``rows``, concatenated in order, and the length
+        of each row (one int when the code is row-regular)."""
+        if self.is_row_regular:
+            return self.row_matrix[rows].ravel(), self.row_matrix.shape[1]
+        segments = [self.row_support(int(j)) for j in rows]
+        return np.concatenate(segments), [seg.size for seg in segments]
+
     def col_support(self, i: int) -> np.ndarray:
         return self.col_supports[i]
 

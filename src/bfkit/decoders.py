@@ -1,18 +1,17 @@
 """Bit-flipping syndrome decoders with operation-count instrumentation.
 
-Three decoders share the same counter machinery:
+Three decoders, one counter definition:
 
 * ``bf_decode``: classic out-of-place bit flipping. Each iteration computes
   all counters once, flips every position whose counter reaches the
   iteration's threshold, and only then starts the next iteration.
-* ``bfmax_decode_naive``: single-flip decoding, one bit per iteration (a
-  position of maximum counter, ties broken uniformly at random),
-  recomputing all counters from scratch every iteration. Reference
-  implementation.
-* ``bfmax_decode_sparse``: identical input/output behavior to the naive
-  form (bit-for-bit equal flip history under the same tie-break stream)
-  but maintains counters incrementally, touching only the v*w counters
-  adjacent to the flipped column.
+* ``bfmax_decode_naive`` and ``bfmax_decode_sparse``: single-flip decoding,
+  one bit per iteration (a position of maximum counter, ties broken
+  uniformly at random). Both run the same loop and differ only in the
+  counter strategy: naive recomputes all counters every iteration (the
+  reference), sparse computes them once and then updates incrementally,
+  touching only the v*w counters adjacent to the flipped column. Under the
+  same tie-break stream their flip histories are bit-for-bit equal.
 
 The counter of position i is the number of unsatisfied parity checks it
 participates in; it always lies in [0, v]. Decoding stops when the working
@@ -215,35 +214,10 @@ def bfmax_decode_naive(
     counter scan and draw from the tie-break stream but discard the flip,
     so the operation profile is independent of when decoding converged.
     """
-    if s.r != H.r:
-        raise ValueError(f"syndrome length {s.r} does not match r={H.r}")
-    if iter_max < 0:
-        raise ValueError("iter_max must be non-negative")
-
-    state = DecoderState(
-        H=H,
-        syndrome=s.bits.copy(),
-        counters=None,
-        estimate=np.zeros(H.n, dtype=np.uint8),
-        iterations=0,
-        flip_log=[],
-        ops=OpCounts(),
-        syndrome_weight=int(s.bits.sum()),
+    return _bfmax_decode(
+        H, s, iter_max, rng, incremental=False,
+        fixed_iterations=fixed_iterations, on_iteration=on_iteration,
     )
-    it = 1
-    while it <= iter_max and (state.syndrome_weight != 0 or fixed_iterations):
-        state.counters = _compute_counters(H, state.syndrome, state.ops)
-        i_star, _ = argmax_scan(state.counters, rng, state.ops)
-        if state.syndrome_weight != 0:
-            _apply_flip(state, i_star, shadow=False, update_counters=False)
-        else:
-            _apply_flip(state, i_star, shadow=True, update_counters=False)
-        state.iterations = it
-        if on_iteration is not None:
-            on_iteration(state)
-        it += 1
-
-    return _finish(state)
 
 
 def bfmax_decode_sparse(
@@ -266,6 +240,29 @@ def bfmax_decode_sparse(
     ``verify_counters`` re-derives the counters from the working syndrome
     after every iteration and raises on any divergence (debug aid).
     """
+    return _bfmax_decode(
+        H, s, iter_max, rng, incremental=True,
+        fixed_iterations=fixed_iterations, on_iteration=on_iteration,
+        verify_counters=verify_counters,
+    )
+
+
+def _bfmax_decode(
+    H: SparseParityCheck,
+    s: Syndrome,
+    iter_max: int,
+    rng: np.random.Generator,
+    *,
+    incremental: bool,
+    fixed_iterations: bool,
+    on_iteration: IterationHook | None,
+    verify_counters: bool = False,
+) -> DecodeOutcome:
+    """The single-flip loop. ``incremental`` picks the counter strategy:
+    compute once and update the rows a flip touches, or recompute every
+    iteration. Once the syndrome is zero, a fixed-iteration run keeps
+    iterating on shadow flips: the same scan, draw and index work, booked
+    in the op counts, with no state changed."""
     if s.r != H.r:
         raise ValueError(f"syndrome length {s.r} does not match r={H.r}")
     if iter_max < 0:
@@ -281,63 +278,40 @@ def bfmax_decode_sparse(
         ops=OpCounts(),
         syndrome_weight=int(s.bits.sum()),
     )
-    state.counters = _compute_counters(H, state.syndrome, state.ops)
-    it = 1
-    while it <= iter_max and (state.syndrome_weight != 0 or fixed_iterations):
-        i_star, _ = argmax_scan(state.counters, rng, state.ops)
-        _apply_flip(state, i_star, shadow=state.syndrome_weight == 0, update_counters=True)
+    ops = state.ops
+    if incremental:
+        state.counters = _compute_counters(H, state.syndrome, ops)
+    for it in range(1, iter_max + 1):
+        shadow = state.syndrome_weight == 0
+        if shadow and not fixed_iterations:
+            break
+        if not incremental:
+            state.counters = _compute_counters(H, state.syndrome, ops)
+        i_star, _ = argmax_scan(state.counters, rng, ops)
+        checks = H.col_supports[i_star]
+        ops.syndrome_bit_updates += checks.size
+        if incremental:
+            touched, row_lengths = H.row_entries(checks)
+            ops.counter_update_touches += touched.size
+        if not shadow:
+            state.estimate[i_star] ^= 1
+            state.syndrome[checks] ^= 1
+            now_set = state.syndrome[checks]
+            if incremental:
+                d = np.where(now_set == 1, 1, -1).astype(_COUNTER_DTYPE)
+                np.add.at(state.counters, touched, np.repeat(d, row_lengths))
+            state.syndrome_weight += 2 * int(now_set.sum()) - checks.size
+            state.flip_log.append(i_star)
         state.iterations = it
         if verify_counters:
-            fresh = state.syndrome[H.col_supports].sum(axis=1, dtype=_COUNTER_DTYPE)
+            fresh = _compute_counters(H, state.syndrome, OpCounts())
             if not np.array_equal(state.counters, fresh):
                 raise AssertionError(f"incremental counters diverged at iteration {it}")
         if on_iteration is not None:
             on_iteration(state)
-        it += 1
 
-    return _finish(state)
-
-
-def _apply_flip(state: DecoderState, i_star: int, *, shadow: bool, update_counters: bool) -> None:
-    """Flip position ``i_star``: toggle estimate and syndrome, adjust counters.
-
-    A shadow flip books the identical operation counts without mutating any
-    state (used by fixed-iteration mode once the syndrome is exhausted).
-    """
-    H = state.H
-    checks = H.col_supports[i_star]
-    state.ops.syndrome_bit_updates += checks.size
-    if update_counters:
-        if H.is_row_regular:
-            touched_size = checks.size * H.w_max
-        else:
-            touched_size = int((H.row_ptr[checks + 1] - H.row_ptr[checks]).sum())
-        state.ops.counter_update_touches += touched_size
-    if shadow:
-        return
-
-    state.estimate[i_star] ^= 1
-    s = state.syndrome
-    s[checks] ^= 1
-    now_set = s[checks]
-    if update_counters:
-        d = np.where(now_set == 1, 1, -1).astype(_COUNTER_DTYPE)
-        if H.is_row_regular:
-            touched = H.row_matrix[checks].ravel()
-            deltas = np.repeat(d, H.w_max)
-        else:
-            segments = [H.row_support(int(j)) for j in checks]
-            touched = np.concatenate(segments)
-            deltas = np.repeat(d, [seg.size for seg in segments])
-        np.add.at(state.counters, touched, deltas)
-    state.syndrome_weight += 2 * int(now_set.sum()) - checks.size
-    state.flip_log.append(int(i_star))
-
-
-def _finish(state: DecoderState) -> DecodeOutcome:
-    success = state.syndrome_weight == 0
-    recovered = _estimate_pattern(state.estimate) if success else None
-    return DecodeOutcome(recovered, state.iterations, tuple(state.flip_log), state.ops)
+    recovered = _estimate_pattern(state.estimate) if state.syndrome_weight == 0 else None
+    return DecodeOutcome(recovered, state.iterations, tuple(state.flip_log), ops)
 
 
 def predicted_op_count(H: SparseParityCheck, iter_max: int) -> float:

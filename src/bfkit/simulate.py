@@ -7,6 +7,14 @@ size chunks; chunks may run on a worker pool, but aggregation always scans
 trial indices in order and stops at the exact trial where the failure
 target is met, so every report is bit-identical for any worker count.
 
+A code source is one of two kinds. A shared source holds one code for
+every trial (``code``): an in-memory code, a file, or a seeded
+quasi-cyclic key, built on first use. A fresh source has no shared code
+(``code`` is None) and builds each trial's quasi-cyclic key from that
+trial's key stream (``key``). Every trial, in ``run_sim`` and in the
+naive-vs-sparse differential campaign alike, is set up by the same
+(code, error, syndrome, tie-break seed) step.
+
 A trial counts as a failure unless the decoder reports success AND the
 recovered pattern equals the sampled error; successful decodes of the
 wrong pattern (matching syndrome, different support) are miscorrections
@@ -15,15 +23,17 @@ and are tallied separately as well.
 
 from __future__ import annotations
 
-import math
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from scipy.stats import beta as _beta
 
 from .codes import (
+    ErrorPattern,
     QcSeedSpec,
     SparseParityCheck,
     Syndrome,
@@ -35,6 +45,7 @@ from .codes import (
 from .decoders import (
     BfConfig,
     DecodeOutcome,
+    OpCounts,
     bf_decode,
     bfmax_decode_naive,
     bfmax_decode_sparse,
@@ -50,67 +61,50 @@ DECODERS = ("bf", "bfmax-naive", "bfmax-sparse")
 # -- code sources ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FixedCodeSource:
-    """One in-memory code shared by every trial."""
+class _SharedCodeSource:
+    """A source whose one code serves every trial."""
 
     code: SparseParityCheck
 
     def profile(self) -> SparseParityCheck:
         return self.code
 
-    def realize(self, trial_key_seed: int) -> SparseParityCheck:
-        return self.code
+
+@dataclass(frozen=True)
+class FixedCodeSource(_SharedCodeSource):
+    """One in-memory code shared by every trial."""
+
+    code: SparseParityCheck
 
     def describe(self) -> str:
         return f"fixed(n={self.code.n},r={self.code.r},v={self.code.v})"
 
 
 @dataclass(frozen=True)
-class FileCodeSource:
-    """Code loaded from a file once, shared by every trial."""
+class FileCodeSource(_SharedCodeSource):
+    """Code loaded from a file once, on first use, shared by every trial."""
 
     path: str
 
-    def profile(self) -> SparseParityCheck:
-        return self._code
-
-    @property
-    def _code(self) -> SparseParityCheck:
-        code = getattr(self, "_cached", None)
-        if code is None:
-            code = load_code(self.path)
-            object.__setattr__(self, "_cached", code)
-        return code
-
-    def realize(self, trial_key_seed: int) -> SparseParityCheck:
-        return self._code
+    @cached_property
+    def code(self) -> SparseParityCheck:
+        return load_code(self.path)
 
     def describe(self) -> str:
         return f"file({Path(self.path).name})"
 
 
 @dataclass(frozen=True)
-class QcCodeSource:
+class QcCodeSource(_SharedCodeSource):
     """Fixed-key quasi-cyclic code built once from its own seed."""
 
     r: int
     v: int
     seed: int
 
-    def profile(self) -> SparseParityCheck:
-        return self._code
-
-    @property
-    def _code(self) -> SparseParityCheck:
-        code = getattr(self, "_cached", None)
-        if code is None:
-            code = generate_qc(QcSeedSpec(self.r, self.v, self.seed))
-            object.__setattr__(self, "_cached", code)
-        return code
-
-    def realize(self, trial_key_seed: int) -> SparseParityCheck:
-        return self._code
+    @cached_property
+    def code(self) -> SparseParityCheck:
+        return generate_qc(QcSeedSpec(self.r, self.v, self.seed))
 
     def describe(self) -> str:
         return f"qc(r={self.r},v={self.v},seed={self.seed})"
@@ -126,22 +120,19 @@ class FreshQcSource:
 
     r: int
     v: int
+    code = None  # no code is shared; ``key`` builds each trial's
 
     def profile(self) -> SparseParityCheck:
-        return generate_qc(QcSeedSpec(self.r, self.v, 0))
+        return self.key(0)
 
-    def realize(self, trial_key_seed: int) -> SparseParityCheck:
-        return generate_qc(QcSeedSpec(self.r, self.v, trial_key_seed))
+    def key(self, key_seed: int) -> SparseParityCheck:
+        return generate_qc(QcSeedSpec(self.r, self.v, key_seed))
 
     def describe(self) -> str:
         return f"fresh-qc(r={self.r},v={self.v})"
 
 
 CodeSource = FixedCodeSource | FileCodeSource | QcCodeSource | FreshQcSource
-
-
-def _is_fresh(source) -> bool:
-    return isinstance(source, FreshQcSource)
 
 
 # -- plans and reports -------------------------------------------------------
@@ -234,13 +225,24 @@ def clopper_pearson(failures: int, trials: int, alpha: float = 0.05) -> tuple[fl
 # -- trial machinery ---------------------------------------------------------
 
 
-def _trial_streams(master_seed: int, index: int) -> tuple[int, int, int]:
-    child = child_seed(master_seed, index)
-    return (
-        child_seed(child, STREAM_KEY),
-        child_seed(child, STREAM_ERROR),
-        child_seed(child, STREAM_TIEBREAK),
-    )
+def _checked_profile(plan: SimPlan) -> SparseParityCheck:
+    """The plan's code profile, once the plan is known to fit it."""
+    profile = plan.source.profile()
+    if plan.t > profile.n:
+        raise ValueError(f"t={plan.t} exceeds code length {profile.n}")
+    return profile
+
+
+def _trial_inputs(
+    plan: SimPlan, index: int
+) -> tuple[SparseParityCheck, ErrorPattern, Syndrome, int]:
+    """Code, error, syndrome and tie-break seed of trial ``index``."""
+    child = child_seed(plan.master_seed, index)
+    H = plan.source.code
+    if H is None:
+        H = plan.source.key(child_seed(child, STREAM_KEY))
+    e = sample_error(H.n, plan.t, make_rng(child_seed(child, STREAM_ERROR)))
+    return H, e, syndrome(H, e), child_seed(child, STREAM_TIEBREAK)
 
 
 def _decode(plan: SimPlan, H: SparseParityCheck, s: Syndrome, tie_seed: int) -> DecodeOutcome:
@@ -253,11 +255,8 @@ def _decode(plan: SimPlan, H: SparseParityCheck, s: Syndrome, tie_seed: int) -> 
     return bfmax_decode_sparse(H, s, plan.effective_iter_max, rng)
 
 
-def _run_trial(plan: SimPlan, shared: SparseParityCheck | None, index: int):
-    key_seed, err_seed, tie_seed = _trial_streams(plan.master_seed, index)
-    H = shared if shared is not None else plan.source.realize(key_seed)
-    e = sample_error(H.n, plan.t, make_rng(err_seed))
-    s = syndrome(H, e)
+def _run_trial(plan: SimPlan, index: int):
+    H, e, s, tie_seed = _trial_inputs(plan, index)
     outcome = _decode(plan, H, s, tie_seed)
     exact = outcome.success and outcome.error_estimate == e
     miscorrection = outcome.success and not exact
@@ -274,38 +273,38 @@ def _run_trial(plan: SimPlan, shared: SparseParityCheck | None, index: int):
 
 
 def _run_chunk(plan: SimPlan, lo: int, hi: int):
-    shared = None if _is_fresh(plan.source) else plan.source.realize(0)
-    return [_run_trial(plan, shared, i) for i in range(lo, hi)]
+    return [_run_trial(plan, i) for i in range(lo, hi)]
 
 
 def _chunks(total: int, size: int):
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+    return ((lo, min(lo + size, total)) for lo in range(0, total, size))
 
 
-def _ordered_chunk_results(plan: SimPlan, runner, payload_fn):
-    """Yield chunk results strictly in index order, using a pool if asked.
+def _ordered_chunk_results(plan: SimPlan, runner):
+    """Yield ``runner(plan, lo, hi)`` per chunk strictly in index order,
+    using a pool if asked.
 
-    ``runner`` is a module-level function (picklable); ``payload_fn`` maps
-    a (lo, hi) range to its argument tuple. The caller may stop consuming
-    early; pending futures are then discarded.
+    ``runner`` is a module-level function (picklable). Spans are made as
+    they are consumed, so a huge ``max_trials`` costs nothing up front.
+    The caller may stop consuming early; pending futures are then discarded.
     """
     spans = _chunks(plan.max_trials, plan.chunk_size)
     if plan.worker_count == 1:
         for span in spans:
-            yield runner(*payload_fn(span))
+            yield runner(plan, *span)
         return
     window = plan.worker_count + 2
     with ProcessPoolExecutor(max_workers=plan.worker_count) as pool:
-        futures: dict[int, object] = {}
-        next_submit = 0
+        pending: deque = deque()
         try:
-            for next_consume in range(len(spans)):
-                while next_submit < len(spans) and next_submit - next_consume < window:
-                    futures[next_submit] = pool.submit(runner, *payload_fn(spans[next_submit]))
-                    next_submit += 1
-                yield futures.pop(next_consume).result()
+            for span in spans:
+                pending.append(pool.submit(runner, plan, *span))
+                if len(pending) == window:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
         finally:
-            for fut in futures.values():
+            for fut in pending:
                 fut.cancel()
 
 
@@ -316,16 +315,14 @@ def run_sim(plan: SimPlan) -> SimReport:
     in index order and the run stops at the exact trial where
     ``target_failures`` is reached (or after ``max_trials``).
     """
-    profile = plan.source.profile()
-    if plan.t > profile.n:
-        raise ValueError(f"t={plan.t} exceeds code length {profile.n}")
+    profile = _checked_profile(plan)
     start = time.perf_counter()
 
     trials = failures = miscorrections = 0
     iter_sum = 0
     op_sums = [0, 0, 0, 0]
     done = False
-    gen = _ordered_chunk_results(plan, _run_chunk, lambda span: (plan, *span))
+    gen = _ordered_chunk_results(plan, _run_chunk)
     for chunk in gen:
         for rec in chunk:
             fail, misc, iters, *ops = rec
@@ -390,13 +387,10 @@ class DifferentialReport:
         return not self.mismatches
 
 
-def _reference_pair(plan: SimPlan, shared, index: int, sparse_impl):
-    key_seed, err_seed, tie_seed = _trial_streams(plan.master_seed, index)
-    H = shared if shared is not None else plan.source.realize(key_seed)
-    e = sample_error(H.n, plan.t, make_rng(err_seed))
-    s = syndrome(H, e)
+def _reference_pair(plan: SimPlan, index: int) -> Mismatch | None:
+    H, _, s, tie_seed = _trial_inputs(plan, index)
     naive = bfmax_decode_naive(H, s, plan.effective_iter_max, make_rng(tie_seed))
-    sparse = sparse_impl(H, s, plan.effective_iter_max, make_rng(tie_seed))
+    sparse = bfmax_decode_sparse(H, s, plan.effective_iter_max, make_rng(tie_seed))
     if naive.success == sparse.success and naive.flip_log == sparse.flip_log:
         return None
     return Mismatch(
@@ -404,29 +398,20 @@ def _reference_pair(plan: SimPlan, shared, index: int, sparse_impl):
     )
 
 
-def _run_diff_chunk(plan: SimPlan, lo: int, hi: int, sparse_impl=None):
-    impl = sparse_impl if sparse_impl is not None else bfmax_decode_sparse
-    shared = None if _is_fresh(plan.source) else plan.source.realize(0)
-    out = []
-    for i in range(lo, hi):
-        miss = _reference_pair(plan, shared, i, impl)
-        if miss is not None:
-            out.append(miss)
-    return out
+def _run_diff_chunk(plan: SimPlan, lo: int, hi: int):
+    pairs = (_reference_pair(plan, i) for i in range(lo, hi))
+    return [miss for miss in pairs if miss is not None]
 
 
-def differential_campaign(plan: SimPlan, *, sparse_impl=None) -> DifferentialReport:
+def differential_campaign(plan: SimPlan) -> DifferentialReport:
     """Run naive and sparse single-flip decoders on identical inputs.
 
     Any divergence in outcome or flip history is reported; the expected
-    result is zero mismatches. ``sparse_impl`` exists so tests can inject a
-    faulty implementation and prove the campaign catches it.
+    result is zero mismatches.
     """
+    _checked_profile(plan)
     mismatches: list[Mismatch] = []
-    gen = _ordered_chunk_results(
-        plan, _run_diff_chunk, lambda span: (plan, *span, sparse_impl)
-    )
-    for chunk in gen:
+    for chunk in _ordered_chunk_results(plan, _run_diff_chunk):
         mismatches.extend(chunk)
     return DifferentialReport(plan.max_trials, tuple(mismatches))
 
@@ -469,13 +454,7 @@ def opcount_validation(plan: SimPlan) -> OpCountValidation:
     report = run_sim(plan)
     iters = report.mean_iterations
     ops = report.mean_op_counts
-    lg = math.log2(profile.v)
-    weighted = (
-        lg * (ops["counter_init_adds"] + ops["argmax_comparisons"])
-        + iters
-        + ops["syndrome_bit_updates"]
-        + ops["counter_update_touches"]
-    )
+    weighted = OpCounts(**ops).weighted_total(profile.v, iters)
     predicted_iter_max = predicted_op_count(profile, plan.effective_iter_max)
     rows = (
         OpCountRow("counter_update_touches_per_iteration",

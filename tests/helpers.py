@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from bfkit.codes import ErrorPattern, SparseParityCheck
+from bfkit.decoders import bfmax_decode_sparse
 
 
 def dense_matrix(H: SparseParityCheck) -> np.ndarray:
@@ -98,6 +99,14 @@ def enumerate_binom_pmf(v: int, p: Fraction) -> list[Fraction]:
 def recompute_counters(H: SparseParityCheck, s_bits: np.ndarray) -> np.ndarray:
     """Definitional counters: unsatisfied checks touching each position."""
     return s_bits[H.col_supports].sum(axis=1, dtype=np.int64)
+
+
+def faulty_sparse_decode(H, s, iter_max, rng, **kwargs):
+    """Deliberately broken sparse decoder for negative-control runs: burns
+    one tie-break draw, desynchronizing it from the reference decoder.
+    Tests monkeypatch it over ``bfkit.simulate.bfmax_decode_sparse``."""
+    rng.integers(0, 2)
+    return bfmax_decode_sparse(H, s, iter_max, rng, **kwargs)
 
 
 def all_weight_patterns(n: int, t: int):

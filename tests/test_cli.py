@@ -6,6 +6,8 @@ import pytest
 from bfkit.cli import SIM_CSV_COLUMNS, main
 from bfkit.codes import load_code
 
+from helpers import faulty_sparse_decode
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
@@ -137,9 +139,31 @@ def test_simulate_appends_theory_column_for_regular_bfmax(tmp_path):
     assert float(fields["log2_dfr_theory"]) < 0
 
 
-def test_simulate_usage_error(capsys):
+def test_simulate_usage_error(tmp_path, capsys):
     assert run_cli("simulate", "--t", 2) == 1
     assert "provide --code" in capsys.readouterr().err
+    assert run_cli("simulate", "--code", tmp_path / "missing.code", "--t", 2) == 1
+    assert "missing.code" in capsys.readouterr().err
+    bad = tmp_path / "bad.code"
+    bad.write_text("2 3 2\n0 1\n0 a\n")
+    assert run_cli("simulate", "--code", bad, "--t", 1) == 1
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_malformed_worker_env_fails_only_pool_commands(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("BFKIT_WORKERS", "abc")
+    for argv in (
+        ("simulate", "--r", 13, "--v", 3, "--t", 2, "--max-trials", 10),
+        ("compare", "--trials", 10, "--opcount-trials", 10),
+    ):
+        assert run_cli(*argv) == 1
+        assert "BFKIT_WORKERS" in capsys.readouterr().err
+    out = tmp_path / "toy.code"
+    assert run_cli("gen", "--r", 13, "--v", 3, "--seed", 7, "--out", out) == 0
+    assert run_cli("predict", "--r", 13, "--v", 3, "--t-min", 1, "--t-max", 1) == 0
+    assert run_cli(
+        "decode", "--code", out, "--error-support", "1", "--iter-max", 1,
+    ) == 0
 
 
 # -- decode ----------------------------------------------------------------------
@@ -243,14 +267,29 @@ def test_compare_clean_toy_campaign(tmp_path, capsys):
     assert float(touches[1]) == float(touches[2]) == 3 * 6
 
 
-def test_compare_fault_injection_negative_control(capsys):
+def test_compare_fault_injection_negative_control(monkeypatch, capsys):
+    # one worker keeps the campaign in this process, where the patch applies
+    monkeypatch.setattr("bfkit.simulate.bfmax_decode_sparse", faulty_sparse_decode)
     code = run_cli(
         "compare", "--r", 13, "--v", 3, "--t", 3,
-        "--trials", 400, "--opcount-trials", 50, "--seed", 3, "--inject-fault",
+        "--trials", 400, "--opcount-trials", 50, "--seed", 3, "--workers", 1,
     )
     captured = capsys.readouterr()
     assert code == 2
     assert "mismatch" in captured.err
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (["--r", 5, "--v", 7], "column weight 7 must be below circulant size 5"),
+        (["--r", 13, "--v", 3, "--t", 40], "t=40 exceeds code length 26"),
+    ],
+)
+def test_compare_rejects_bad_parameters(params, message, capsys):
+    assert run_cli("compare", *params, "--trials", 10, "--opcount-trials", 10) == 1
+    err = capsys.readouterr().err
+    assert f"compare: error: {message}" in err
 
 
 # -- global behavior ---------------------------------------------------------------

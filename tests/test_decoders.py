@@ -192,22 +192,27 @@ def test_bfmax_tie_break_is_uniform():
 def test_naive_and_sparse_agree_randomized():
     rng = make_rng(1234)
     cases = 0
-    for r, v, blocks in ((13, 3, 40), (31, 4, 40)):
-        for c in range(blocks):
-            H = generate_qc(QcSeedSpec(r, v, 1000 * r + c))
-            for _ in range(60):
-                t = int(rng.integers(0, 7))
-                e = sample_error(H.n, t, rng)
-                s = syndrome(H, e)
-                seed = int(rng.integers(0, 2**63))
-                a = bfmax_decode_naive(H, s, t, make_rng(seed))
-                b = bfmax_decode_sparse(H, s, t, make_rng(seed))
-                assert a.success == b.success
-                assert a.flip_log == b.flip_log
-                if a.success:
-                    assert a.error_estimate == b.error_estimate
-                cases += 1
-    assert cases == 4800
+    codes = [
+        generate_qc(QcSeedSpec(r, v, 1000 * r + c))
+        for r, v, blocks in ((13, 3, 40), (31, 4, 40))
+        for c in range(blocks)
+    ]
+    # ragged rows (weights 3, 3, 2) take the CSR path of the counter update
+    codes += [toy_code_from_columns([[0, 1], [0, 1], [0, 2], [1, 2]], 3)] * 10
+    for H in codes:
+        for _ in range(60):
+            t = int(rng.integers(0, min(7, H.n + 1)))
+            e = sample_error(H.n, t, rng)
+            s = syndrome(H, e)
+            seed = int(rng.integers(0, 2**63))
+            a = bfmax_decode_naive(H, s, t, make_rng(seed))
+            b = bfmax_decode_sparse(H, s, t, make_rng(seed))
+            assert a.success == b.success
+            assert a.flip_log == b.flip_log
+            if a.success:
+                assert a.error_estimate == b.error_estimate
+            cases += 1
+    assert cases == 5400
 
 
 def test_sparse_counters_match_recomputation_each_iteration(toy):
@@ -307,6 +312,8 @@ def test_fixed_iteration_mode_shadow_work():
         # comparisons accrue for all 10 iterations, real and shadow alike
         assert out.op_counts.argmax_comparisons == 10 * H.n
         assert out.op_counts.syndrome_bit_updates == 10 * H.v
+        if decode is bfmax_decode_sparse:
+            assert out.op_counts.counter_update_touches == 10 * H.v * H.w_max
 
 
 def test_fixed_iteration_mode_keeps_variants_in_lockstep():

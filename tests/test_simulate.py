@@ -15,7 +15,7 @@ from bfkit.simulate import (
     run_sim,
 )
 
-from helpers import toy_code_from_columns
+from helpers import faulty_sparse_decode, toy_code_from_columns
 
 
 def toy_plan(**overrides):
@@ -71,6 +71,19 @@ def test_early_stop_at_target_failures():
     assert probe.failures == 4
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_huge_max_trials_stops_at_first_failure(workers):
+    # chunk spans are made as consumed; 10**18 of them up front would not fit
+    report = run_sim(
+        toy_plan(t=3, max_trials=10**18, target_failures=1, chunk_size=64, worker_count=workers)
+    )
+    assert report.failures == 1
+    first = report.trials_run
+    assert run_sim(toy_plan(t=3, max_trials=first, chunk_size=64)).failures == 1
+    if first > 1:
+        assert run_sim(toy_plan(t=3, max_trials=first - 1, chunk_size=64)).failures == 0
+
+
 def test_worker_count_does_not_change_report():
     kwargs = dict(t=3, max_trials=600, target_failures=30, chunk_size=64)
     seq = run_sim(toy_plan(**kwargs, worker_count=1))
@@ -115,6 +128,15 @@ def test_file_source(tmp_path):
     save_code(H, path)
     report = run_sim(SimPlan(source=FileCodeSource(str(path)), t=2, max_trials=100))
     assert report.n == 26 and report.trials_run == 100
+
+
+def test_source_descriptions(tmp_path):
+    # these strings land in SimReport.source_desc and in manifests
+    H = toy_code_from_columns([[0, 1], [0, 1], [0, 2], [1, 2]], 3)
+    assert FixedCodeSource(H).describe() == "fixed(n=4,r=3,v=2)"
+    assert FileCodeSource(str(tmp_path / "toy.code")).describe() == "file(toy.code)"
+    assert QcCodeSource(2003, 13, 5).describe() == "qc(r=2003,v=13,seed=5)"
+    assert FreshQcSource(13, 3).describe() == "fresh-qc(r=13,v=3)"
 
 
 def test_plan_validation():
@@ -190,12 +212,9 @@ def test_differential_campaign_spot_check_at_large_scale():
     assert report.clean and report.trials_run == 1000
 
 
-def test_differential_campaign_detects_injected_fault():
-    from bfkit.cli import _faulty_sparse_decode
-
-    report = differential_campaign(
-        toy_plan(t=3, max_trials=400), sparse_impl=_faulty_sparse_decode
-    )
+def test_differential_campaign_detects_injected_fault(monkeypatch):
+    monkeypatch.setattr("bfkit.simulate.bfmax_decode_sparse", faulty_sparse_decode)
+    report = differential_campaign(toy_plan(t=3, max_trials=400))
     assert not report.clean
     miss = report.mismatches[0]
     assert miss.naive_flips != miss.sparse_flips or miss.naive_success != miss.sparse_success
