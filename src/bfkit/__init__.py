@@ -15,7 +15,6 @@ from .codes import (
     SparseParityCheck,
     Syndrome,
     generate_qc,
-    gf2_rank,
     load_code,
     random_regular_code,
     sample_error,
@@ -37,9 +36,6 @@ from .dfr import (
     CounterDistribution,
     DfrPrediction,
     counter_pmfs,
-    counter_pmfs_exact,
-    iteration_failure,
-    iteration_failure_direct,
     log_iteration_failure,
     predict_dfr,
     rho,

@@ -70,9 +70,12 @@ def _workers(args) -> int:
         return args.workers
     raw = os.environ.get("BFKIT_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
         raise ValueError(f"BFKIT_WORKERS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ValueError(f"BFKIT_WORKERS must be at least 1, got {raw!r}")
+    return workers
 
 
 def _write_manifest(out_path: str, subcommand: str, params: dict) -> None:

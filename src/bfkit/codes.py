@@ -19,6 +19,9 @@ from .rng import make_rng, sample_distinct
 
 _INDEX_DTYPE = np.int32
 
+# Stub swaps ``random_regular_code`` tries before giving up on a simple graph.
+_MAX_SWAPS = 100_000
+
 
 class CodeFormatError(ValueError):
     """Raised when a code file cannot be parsed; message names the line."""
@@ -62,7 +65,7 @@ class SparseParityCheck:
     def row_weights(self) -> np.ndarray:
         return np.diff(self.row_ptr)
 
-    @property
+    @cached_property
     def w_max(self) -> int:
         return int(self.row_weights.max())
 
@@ -92,9 +95,6 @@ class SparseParityCheck:
             return self.row_matrix[rows].ravel(), self.row_matrix.shape[1]
         segments = [self.row_support(int(j)) for j in rows]
         return np.concatenate(segments), [seg.size for seg in segments]
-
-    def col_support(self, i: int) -> np.ndarray:
-        return self.col_supports[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseParityCheck):
@@ -238,11 +238,8 @@ class QcSeedSpec:
     r: int
     v: int
     rng_seed: int
-    block_count: int = 2
 
     def __post_init__(self):
-        if self.block_count != 2:
-            raise ValueError("only two-block QC codes are supported")
         if self.v < 1:
             raise ValueError("block column weight must be positive")
         if self.v >= self.r:
@@ -287,14 +284,12 @@ def generate_qc(spec: QcSeedSpec) -> SparseParityCheck:
     rng = make_rng(spec.rng_seed)
     firsts = tuple(
         sample_distinct(rng, spec.r, spec.v).astype(_INDEX_DTYPE)
-        for _ in range(spec.block_count)
+        for _ in range(2)
     )
     return _expand_qc(firsts, spec.r)
 
 
-def random_regular_code(
-    n: int, r: int, v: int, w: int, rng: np.random.Generator, max_swaps: int = 100_000
-) -> SparseParityCheck:
+def random_regular_code(n: int, r: int, v: int, w: int, rng: np.random.Generator) -> SparseParityCheck:
     """Random (v, w)-regular code via the configuration model.
 
     Column stubs (each column repeated v times) are shuffled and dealt into
@@ -308,7 +303,7 @@ def random_regular_code(
         raise ValueError("row weight cannot exceed the number of columns")
     perm = rng.permutation(np.repeat(np.arange(n, dtype=_INDEX_DTYPE), v))
     total = perm.size
-    for _ in range(max_swaps):
+    for _ in range(_MAX_SWAPS):
         rows = perm.reshape(r, w)
         dup_row = -1
         for j in range(r):
@@ -323,7 +318,7 @@ def random_regular_code(
         other = int(rng.integers(0, total))
         perm[slot], perm[other] = perm[other], perm[slot]
     else:
-        raise RuntimeError(f"no simple ({v},{w})-regular graph found in {max_swaps} swaps")
+        raise RuntimeError(f"no simple ({v},{w})-regular graph found in {_MAX_SWAPS} swaps")
     rows_flat = np.repeat(np.arange(r, dtype=_INDEX_DTYPE), w)
     order = np.argsort(perm, kind="stable")
     col_supports = rows_flat[order].reshape(n, v)
@@ -369,9 +364,9 @@ def _parse_index_line(line: str, lineno: int, expected: int, label: str, limit: 
         raise CodeFormatError(
             f"line {lineno}: {label}: expected {expected} indices, got {len(values)}"
         )
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= limit):
+    if any(not 0 <= x < limit for x in values):
         raise CodeFormatError(f"line {lineno}: {label}: index out of range [0, {limit})")
+    arr = np.asarray(values, dtype=np.int64)
     if arr.size > 1 and (np.diff(np.sort(arr)) == 0).any():
         raise CodeFormatError(f"line {lineno}: {label}: duplicate index")
     return arr
@@ -379,7 +374,13 @@ def _parse_index_line(line: str, lineno: int, expected: int, label: str, limit: 
 
 def load_code(path) -> SparseParityCheck:
     """Parse a code file (full or QC compact format); see module docstring."""
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte sits on the last line of the valid prefix plus one char.
+        lineno = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise CodeFormatError(f"line {lineno}: not valid UTF-8") from None
     lines = text.splitlines()
     if not lines or not lines[0].split():
         raise CodeFormatError("line 1: empty header")
@@ -434,20 +435,3 @@ def save_code(H: SparseParityCheck, path, *, qc_compact: bool = False) -> None:
         lines = [f"{H.n} {H.r} {H.v}"]
         lines += [" ".join(map(str, H.col_supports[i])) for i in range(H.n)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def gf2_rank(H: SparseParityCheck) -> int:
-    """Rank of H over F2 (diagnostic only; decoding never needs it)."""
-    rows = [set(map(int, H.row_support(j))) for j in range(H.r)]
-    pivots: dict[int, set[int]] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            p = min(row)
-            if p in pivots:
-                row = row ^ pivots[p]
-            else:
-                pivots[p] = row
-                rank += 1
-                break
-    return rank

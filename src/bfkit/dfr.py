@@ -13,11 +13,15 @@ iteration flips an error position, so the failure rate is
 1 - prod_{u=1..t} (1 - q_u). Ties between the two maxima are counted as
 failures, making the prediction a slight overestimate by construction.
 
-Everything is evaluated in the log domain (log-gamma binomials, powers via
-log1p of tail masses, assembly via expm1) so predictions remain accurate
-far below the 2**-128 regime where direct evaluation underflows. An
-arbitrary-precision cross-check mode evaluates the same formulas naively
-under mpmath with a configurable number of digits.
+``predict_dfr`` builds, for each u, the two rho values (``rho``), the
+counter pmfs (``counter_pmfs``) and log q_u (``log_iteration_failure``).
+Only log-domain quantities are kept: log pmfs from log-gamma binomials,
+the log cdf by a running ``logaddexp``, and the mass above each counter
+value for cdf powers near 1 (via log1p); the product over u is assembled
+via expm1. Predictions therefore remain accurate far below the 2**-128
+regime where direct evaluation underflows. An arbitrary-precision
+cross-check mode evaluates the same formulas naively under mpmath with a
+configurable number of digits.
 """
 
 from __future__ import annotations
@@ -107,20 +111,17 @@ def _log_binom_pmf(v: int, p: float) -> np.ndarray:
 class CounterDistribution:
     """Counter pmfs g1/g0 (error / error-free positions) at residual weight u.
 
-    Carries both linear arrays for inspection and the log/tail pair used by
-    the failure computation: ``tail*[x]`` is the mass strictly above x
-    (accurate where the cdf is near 1), ``log_cum*[x]`` the log cdf built
-    from below (accurate where the cdf is near 0).
+    Holds the log pmfs ``log_g*`` and the pair used by the failure
+    computation: ``tail*[x]`` is the mass strictly above x (accurate where
+    the cdf is near 1), ``log_cum*[x]`` the log cdf built from below
+    (accurate where the cdf is near 0). The ``*1`` arrays are None when
+    there is no error position (u = 0).
     """
 
     v: int
     u: int | None
     rho1: float | None
     rho0: float
-    g1: np.ndarray | None
-    g0: np.ndarray
-    cum_g1: np.ndarray | None
-    cum_g0: np.ndarray
     log_g1: np.ndarray | None
     log_g0: np.ndarray
     tail1: np.ndarray | None
@@ -147,12 +148,11 @@ def _log_cdf_pow(tail: np.ndarray, log_cum: np.ndarray, x: int, power: int) -> f
     return power * lc
 
 
-def _cdf_pieces(log_g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _cdf_pieces(log_g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tail, log_cum): mass strictly above each x, and the log cdf."""
     g = np.exp(log_g)
-    cum = np.cumsum(g)
     tail = np.concatenate([np.cumsum(g[::-1])[::-1][1:], [0.0]])
-    log_cum = np.array([logsumexp(log_g[: x + 1]) for x in range(log_g.size)])
-    return g, cum, tail, log_cum
+    return tail, np.logaddexp.accumulate(log_g)
 
 
 def counter_pmfs(v: int, rho1: float | None, rho0: float, u: int | None = None) -> CounterDistribution:
@@ -161,36 +161,18 @@ def counter_pmfs(v: int, rho1: float | None, rho0: float, u: int | None = None) 
         if p is not None and not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {p}")
     log_g0 = _log_binom_pmf(v, rho0)
-    g0, cum0, tail0, log_cum0 = _cdf_pieces(log_g0)
+    tail0, log_cum0 = _cdf_pieces(log_g0)
     if rho1 is None:
-        g1 = cum1 = log_g1 = tail1 = log_cum1 = None
+        log_g1 = tail1 = log_cum1 = None
     else:
         log_g1 = _log_binom_pmf(v, rho1)
-        g1, cum1, tail1, log_cum1 = _cdf_pieces(log_g1)
+        tail1, log_cum1 = _cdf_pieces(log_g1)
     return CounterDistribution(
         v=v, u=u, rho1=rho1, rho0=rho0,
-        g1=g1, g0=g0, cum_g1=cum1, cum_g0=cum0,
         log_g1=log_g1, log_g0=log_g0,
         tail1=tail1, tail0=tail0,
         log_cum1=log_cum1, log_cum0=log_cum0,
     )
-
-
-@dataclass(frozen=True)
-class ExactCounterPmfs:
-    """Fraction-valued counter pmfs, for oracle tests at small v."""
-
-    v: int
-    g1: list[Fraction] | None
-    g0: list[Fraction]
-
-
-def counter_pmfs_exact(v: int, rho1: Fraction | None, rho0: Fraction) -> ExactCounterPmfs:
-    def pmf(p: Fraction) -> list[Fraction]:
-        q = 1 - p
-        return [Fraction(math.comb(v, x)) * p**x * q ** (v - x) for x in range(v + 1)]
-
-    return ExactCounterPmfs(v, None if rho1 is None else pmf(rho1), pmf(rho0))
 
 
 def log_iteration_failure(n: int, v: int, u: int, dist: CounterDistribution) -> float:
@@ -221,28 +203,6 @@ def log_iteration_failure(n: int, v: int, u: int, dist: CounterDistribution) -> 
     if not terms:
         return _NEG_INF
     return float(min(0.0, logsumexp(terms)))
-
-
-def iteration_failure(n: int, v: int, u: int, dist: CounterDistribution) -> float:
-    """q_u in the linear domain (may underflow; see log_iteration_failure)."""
-    return math.exp(log_iteration_failure(n, v, u, dist))
-
-
-def iteration_failure_direct(n: int, v: int, u: int, dist: CounterDistribution) -> float:
-    """The algebraically identical complement form 1 - sum f1*f0.
-
-    Direct linear evaluation, useful as a self-check where q_u is large
-    enough to survive the cancellation.
-    """
-    m = n - u
-    cum0 = dist.cum_g0
-    cum1 = dist.cum_g1
-    total = 0.0
-    for x in range(v):
-        f0 = cum0[x] ** m - (cum0[x - 1] ** m if x > 0 else 0.0)
-        f1 = 1.0 - cum1[x] ** u
-        total += f0 * f1
-    return 1.0 - total
 
 
 @dataclass(frozen=True)

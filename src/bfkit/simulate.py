@@ -28,7 +28,6 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 from scipy.stats import beta as _beta
 
@@ -91,7 +90,7 @@ class FileCodeSource(_SharedCodeSource):
         return load_code(self.path)
 
     def describe(self) -> str:
-        return f"file({Path(self.path).name})"
+        return f"file({self.path})"
 
 
 @dataclass(frozen=True)
@@ -122,8 +121,13 @@ class FreshQcSource:
     v: int
     code = None  # no code is shared; ``key`` builds each trial's
 
-    def profile(self) -> SparseParityCheck:
+    @cached_property
+    def _seed0_key(self) -> SparseParityCheck:
         return self.key(0)
+
+    def profile(self) -> SparseParityCheck:
+        """The seed-0 key, built once; every fresh key has its shape."""
+        return self._seed0_key
 
     def key(self, key_seed: int) -> SparseParityCheck:
         return generate_qc(QcSeedSpec(self.r, self.v, key_seed))

@@ -8,12 +8,15 @@ sparse/log-domain implementations they are used to check.
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from bfkit.codes import ErrorPattern, SparseParityCheck
 from bfkit.decoders import bfmax_decode_sparse
+from bfkit.dfr import CounterDistribution
 
 
 def dense_matrix(H: SparseParityCheck) -> np.ndarray:
@@ -94,6 +97,62 @@ def enumerate_binom_pmf(v: int, p: Fraction) -> list[Fraction]:
             prob *= p if b else (1 - p)
         out[sum(bits)] += prob
     return out
+
+
+@dataclass(frozen=True)
+class ExactCounterPmfs:
+    """Fraction-valued counter pmfs, for oracle tests at small v."""
+
+    v: int
+    g1: list[Fraction] | None
+    g0: list[Fraction]
+
+
+def counter_pmfs_exact(v: int, rho1: Fraction | None, rho0: Fraction) -> ExactCounterPmfs:
+    def pmf(p: Fraction) -> list[Fraction]:
+        q = 1 - p
+        return [Fraction(math.comb(v, x)) * p**x * q ** (v - x) for x in range(v + 1)]
+
+    return ExactCounterPmfs(v, None if rho1 is None else pmf(rho1), pmf(rho0))
+
+
+def linear_cdf(log_g: np.ndarray) -> np.ndarray:
+    """Counter cdf in the linear domain, from a log pmf."""
+    return np.cumsum(np.exp(log_g))
+
+
+def iteration_failure_direct(n: int, v: int, u: int, dist: CounterDistribution) -> float:
+    """q_u in the algebraically identical complement form 1 - sum f1*f0.
+
+    Direct linear evaluation, a self-check of ``log_iteration_failure``
+    where q_u is large enough to survive the cancellation.
+    """
+    m = n - u
+    cum0 = linear_cdf(dist.log_g0)
+    cum1 = linear_cdf(dist.log_g1)
+    total = 0.0
+    for x in range(v):
+        f0 = cum0[x] ** m - (cum0[x - 1] ** m if x > 0 else 0.0)
+        f1 = 1.0 - cum1[x] ** u
+        total += f0 * f1
+    return 1.0 - total
+
+
+def gf2_rank(H: SparseParityCheck) -> int:
+    """Rank of H over F2 by elimination on row-support sets."""
+    rows = [set(map(int, H.row_support(j))) for j in range(H.r)]
+    pivots: dict[int, set[int]] = {}
+    rank = 0
+    for row in rows:
+        while row:
+            p = min(row)
+            if p in pivots:
+                row = row ^ pivots[p]
+            else:
+                pivots[p] = row
+                rank += 1
+                break
+    return rank
 
 
 def recompute_counters(H: SparseParityCheck, s_bits: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bfkit.cli import SIM_CSV_COLUMNS, main
-from bfkit.codes import load_code
+from bfkit.codes import generate_qc, load_code
 
 from helpers import faulty_sparse_decode
 
@@ -50,6 +50,21 @@ def test_gen_rejects_bad_parameters(tmp_path, capsys):
 
 
 # -- predict ---------------------------------------------------------------------
+
+
+def test_predict_output_is_pinned(capsys):
+    # rows t=30..34 of the committed r=2003, v=13 reference sweep, to the
+    # printed digit
+    expected = (
+        "n,r,v,w,t,q_max,dfr,log2_dfr,mode,format_version\n"
+        "4006,2003,13,26,30,4.25514480827e-07,1.15349209248e-06,-19.7255604554,fast,1\n"
+        "4006,2003,13,26,31,6.48902257665e-07,1.80239360164e-06,-19.0816544721,fast,1\n"
+        "4006,2003,13,26,32,9.76582451367e-07,2.77897429283e-06,-18.4570160805,fast,1\n"
+        "4006,2003,13,26,33,1.45113186043e-06,4.2301021206e-06,-17.8508760769,fast,1\n"
+        "4006,2003,13,26,34,2.12990481679e-06,6.35999792767e-06,-17.2625422739,fast,1\n"
+    )
+    assert run_cli("predict", "--r", 2003, "--v", 13, "--t-min", 30, "--t-max", 34) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_predict_zero_weight_row(capsys):
@@ -150,8 +165,9 @@ def test_simulate_usage_error(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
-def test_malformed_worker_env_fails_only_pool_commands(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("BFKIT_WORKERS", "abc")
+@pytest.mark.parametrize("raw", ["abc", "0", "-4"])
+def test_malformed_worker_env_fails_only_pool_commands(raw, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("BFKIT_WORKERS", raw)
     for argv in (
         ("simulate", "--r", 13, "--v", 3, "--t", 2, "--max-trials", 10),
         ("compare", "--trials", 10, "--opcount-trials", 10),
@@ -231,6 +247,13 @@ def test_decode_errors_exit_one(toy_file, tmp_path, capsys):
     ) == 1
     err = capsys.readouterr().err
     assert "does not match" in err
+    latin1 = tmp_path / "latin1.code"
+    latin1.write_bytes(b"2 3 2\n\xff 1\n1 2\n")
+    assert run_cli(
+        "decode", "--code", latin1, "--error-support", "1",
+        "--decoder", "bfmax-sparse", "--iter-max", 1,
+    ) == 1
+    assert "decode: error: line 2: not valid UTF-8" in capsys.readouterr().err
 
 
 def test_decode_bf_requires_thresholds(toy_file, capsys):
@@ -277,6 +300,20 @@ def test_compare_fault_injection_negative_control(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "mismatch" in captured.err
+
+
+def test_compare_builds_profile_key_once(monkeypatch):
+    seeds = []
+
+    def counting(spec):
+        seeds.append(spec.rng_seed)
+        return generate_qc(spec)
+
+    # one worker keeps every key build in this process, where the patch applies
+    monkeypatch.setattr("bfkit.simulate.generate_qc", counting)
+    assert run_cli("compare", "--trials", 5, "--opcount-trials", 5, "--workers", 1) == 0
+    assert seeds.count(0) == 1
+    assert len(seeds) == 1 + 5 + 5
 
 
 @pytest.mark.parametrize(

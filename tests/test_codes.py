@@ -10,7 +10,6 @@ from bfkit.codes import (
     SparseParityCheck,
     Syndrome,
     generate_qc,
-    gf2_rank,
     load_code,
     random_regular_code,
     sample_error,
@@ -19,7 +18,7 @@ from bfkit.codes import (
 )
 from bfkit.rng import make_rng
 
-from helpers import dense_matrix, dense_syndrome, toy_code_from_columns
+from helpers import dense_matrix, dense_syndrome, gf2_rank, toy_code_from_columns
 
 
 # -- quasi-cyclic generation ---------------------------------------------------
@@ -216,6 +215,7 @@ def test_qc_compact_requires_qc_structure(tmp_path):
         ("QC 5 2\n0 1\n", "line 3"),
         ("QC 5 2\n0 1\n1 2\n0 3\n", "trailing"),
         ("2 3 2\n0 a\n1 2\n", "non-integer"),
+        ("2 3 2\n0 1\n1 99999999999999999999\n", "line 3: column 1: index out of range"),
     ],
 )
 def test_load_code_errors_name_the_line(tmp_path, content, fragment):
@@ -223,6 +223,48 @@ def test_load_code_errors_name_the_line(tmp_path, content, fragment):
     path.write_text(content)
     with pytest.raises(CodeFormatError, match=fragment):
         load_code(path)
+
+
+_JUNK_LINE = st.lists(
+    st.one_of(st.integers(-2, 70).map(str), st.sampled_from(["QC", "a", "1.5", "9" * 25])),
+    max_size=6,
+)
+
+
+@st.composite
+def _code_file_bytes(draw):
+    """Bytes shaped like a code file, header integers at most 64: mostly
+    well-formed index lines, now and then a junk line, a missing or extra
+    line, or a stray byte that is not UTF-8."""
+    n, r, v = draw(st.integers(-1, 12)), draw(st.integers(-1, 64)), draw(st.integers(-1, 8))
+    qc = draw(st.booleans())
+    header = f"QC {r} {v}" if qc else f"{n} {r} {v}"
+    count = (2 if qc else max(n, 0)) + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    k, top = max(v, 0), max(r - 1, 0)
+    good = st.lists(st.integers(0, top), min_size=k, max_size=k, unique=k <= top + 1)
+    good = good.map(lambda xs: " ".join(map(str, xs)))
+    line = st.one_of(good, good, good, _JUNK_LINE.map(" ".join))
+    lines = [draw(st.sampled_from(["", "x y z", "QC 5"])) if draw(st.integers(0, 15)) == 7
+             else header]
+    lines += draw(st.lists(line, min_size=max(count, 0), max_size=max(count, 0)))
+    data = "\n".join(lines).encode("utf-8")
+    if draw(st.integers(0, 3)) == 2:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_code_file_bytes())
+def test_load_code_fuzz_loads_or_names_the_line(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "f.code"
+    path.write_bytes(data)
+    try:
+        H = load_code(path)
+    except CodeFormatError as exc:
+        assert str(exc).startswith("line "), str(exc)
+    else:
+        assert isinstance(H, SparseParityCheck)
 
 
 # -- misc -------------------------------------------------------------------------

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from bfkit.codes import ErrorPattern, random_regular_code, sample_error, syndrome
-from bfkit.dfr import (
-    counter_pmfs,
-    counter_pmfs_exact,
-    iteration_failure,
-    iteration_failure_direct,
-    log_iteration_failure,
-    predict_dfr,
-    rho,
-)
+from bfkit.dfr import counter_pmfs, log_iteration_failure, predict_dfr, rho
 from bfkit.rng import make_rng
 
-from helpers import enumerate_binom_pmf, enumerate_rho
+from helpers import (
+    counter_pmfs_exact,
+    enumerate_binom_pmf,
+    enumerate_rho,
+    iteration_failure_direct,
+    linear_cdf,
+)
+
+
+def q_u(n: int, v: int, u: int, dist) -> float:
+    return math.exp(log_iteration_failure(n, v, u, dist))
 
 
 # -- rho --------------------------------------------------------------------------
@@ -77,15 +79,15 @@ def test_rho_domain_errors():
 
 def test_pmf_degenerate_endpoints():
     dist = counter_pmfs(5, 1.0, 0.0)
-    np.testing.assert_allclose(dist.g1, np.eye(6)[5])
-    np.testing.assert_allclose(dist.g0, np.eye(6)[0])
+    np.testing.assert_allclose(np.exp(dist.log_g1), np.eye(6)[5])
+    np.testing.assert_allclose(np.exp(dist.log_g0), np.eye(6)[0])
 
 
 def test_pmf_matches_bernoulli_enumeration():
     p = Fraction(3, 10)
     oracle = enumerate_binom_pmf(5, p)
     dist = counter_pmfs(5, float(p), float(p))
-    np.testing.assert_allclose(dist.g1, [float(x) for x in oracle], rtol=1e-13)
+    np.testing.assert_allclose(np.exp(dist.log_g1), [float(x) for x in oracle], rtol=1e-13)
     exact = counter_pmfs_exact(5, p, p)
     assert exact.g1 == oracle and exact.g0 == oracle
 
@@ -95,16 +97,17 @@ def test_pmf_enumeration_all_small_v(v):
     p = Fraction(17, 64)
     oracle = [float(x) for x in enumerate_binom_pmf(v, p)]
     dist = counter_pmfs(v, None, float(p))
-    np.testing.assert_allclose(dist.g0, oracle, atol=1e-12)
+    np.testing.assert_allclose(np.exp(dist.log_g0), oracle, atol=1e-12)
 
 
 def test_pmf_normalization_and_cumulative():
     for p in (0.0, 1e-9, 0.3, 0.9999, 1.0):
         dist = counter_pmfs(9, p, p)
-        assert abs(dist.g0.sum() - 1.0) < 1e-12
-        assert abs(dist.g1.sum() - 1.0) < 1e-12
-        assert (np.diff(dist.cum_g0) >= -1e-15).all()
-        assert dist.cum_g0[-1] == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.exp(dist.log_g0).sum() - 1.0) < 1e-12
+        assert abs(np.exp(dist.log_g1).sum() - 1.0) < 1e-12
+        cum_g0 = linear_cdf(dist.log_g0)
+        assert (np.diff(cum_g0) >= -1e-15).all()
+        assert cum_g0[-1] == pytest.approx(1.0, abs=1e-12)
     exact = counter_pmfs_exact(6, Fraction(1, 3), Fraction(1, 7))
     assert sum(exact.g1) == 1 and sum(exact.g0) == 1
 
@@ -121,10 +124,10 @@ def test_single_residual_error_reduces_to_max_reach():
     n, v, w = 40, 4, 6
     r1, r0 = rho(n, w, 1)
     dist = counter_pmfs(v, r1, r0, u=1)
-    q1 = iteration_failure(n, v, 1, dist)
+    q1 = q_u(n, v, 1, dist)
     # with one residual error its counter is v surely, so failure means some
     # error-free counter also reaches v
-    expected = 1.0 - dist.cum_g0[v - 1] ** (n - 1)
+    expected = 1.0 - linear_cdf(dist.log_g0)[v - 1] ** (n - 1)
     assert q1 == pytest.approx(expected, rel=1e-12)
 
 
@@ -136,7 +139,7 @@ def test_complement_and_direct_forms_agree():
         for u in range(1, 12):
             r1, r0 = rho(n, w, u)
             dist = counter_pmfs(v, r1, r0, u=u)
-            q = iteration_failure(n, v, u, dist)
+            q = q_u(n, v, u, dist)
             q_direct = iteration_failure_direct(n, v, u, dist)
             if q > 1e-12:
                 assert q_direct == pytest.approx(q, rel=1e-9)
@@ -149,8 +152,9 @@ def test_max_distribution_normalizes():
         r1, r0 = rho(n, w, u)
         dist = counter_pmfs(v, r1, r0, u=u)
         m = n - u
+        cum_g0 = linear_cdf(dist.log_g0)
         total = sum(
-            dist.cum_g0[x] ** m - (dist.cum_g0[x - 1] ** m if x else 0.0)
+            cum_g0[x] ** m - (cum_g0[x - 1] ** m if x else 0.0)
             for x in range(v + 1)
         )
         assert total == pytest.approx(1.0, abs=1e-10)
@@ -166,7 +170,7 @@ def test_toy_profile_against_counter_event_enumeration():
     # large-n acceptance tests.
     n, r, v, w = 12, 6, 3, 6
     r1, r0 = rho(n, w, 1)
-    q1 = iteration_failure(n, v, 1, counter_pmfs(v, r1, r0, u=1))
+    q1 = q_u(n, v, 1, counter_pmfs(v, r1, r0, u=1))
     rng = make_rng(99)
     hits = tot = 0
     for _ in range(800):
@@ -243,7 +247,7 @@ def test_q_u_non_increasing_in_code_length():
         for r in (100, 200, 400, 800):
             n = 2 * r
             r1, r0 = rho(n, 26, u)
-            qs.append(iteration_failure(n, 13, u, counter_pmfs(13, r1, r0, u=u)))
+            qs.append(q_u(n, 13, u, counter_pmfs(13, r1, r0, u=u)))
         assert all(b <= a * (1 + 1e-12) for a, b in zip(qs, qs[1:]))
 
 
@@ -280,8 +284,8 @@ def test_assumption_one_first_iteration_total_variation():
             mask[e.support] = True
             c1 += np.bincount(sig[mask], minlength=v + 1)
             c0 += np.bincount(sig[~mask], minlength=v + 1)
-    tv1 = 0.5 * np.abs(c1 / c1.sum() - dist.g1).sum()
-    tv0 = 0.5 * np.abs(c0 / c0.sum() - dist.g0).sum()
+    tv1 = 0.5 * np.abs(c1 / c1.sum() - np.exp(dist.log_g1)).sum()
+    tv0 = 0.5 * np.abs(c0 / c0.sum() - np.exp(dist.log_g0)).sum()
     assert c1.sum() + c0.sum() >= 1_000_000
     assert tv1 < 0.02 and tv0 < 0.02
 

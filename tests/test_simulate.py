@@ -134,7 +134,8 @@ def test_source_descriptions(tmp_path):
     # these strings land in SimReport.source_desc and in manifests
     H = toy_code_from_columns([[0, 1], [0, 1], [0, 2], [1, 2]], 3)
     assert FixedCodeSource(H).describe() == "fixed(n=4,r=3,v=2)"
-    assert FileCodeSource(str(tmp_path / "toy.code")).describe() == "file(toy.code)"
+    path = str(tmp_path / "toy.code")
+    assert FileCodeSource(path).describe() == f"file({path})"
     assert QcCodeSource(2003, 13, 5).describe() == "qc(r=2003,v=13,seed=5)"
     assert FreshQcSource(13, 3).describe() == "fresh-qc(r=13,v=3)"
 
