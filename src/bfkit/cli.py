@@ -3,8 +3,10 @@
 Every file-producing subcommand writes a JSON manifest next to its output
 (``<out>.manifest.json``) holding the subcommand, the full parameter set
 and the tool version; re-running those parameters reproduces the output
-byte for byte. Exit codes: 0 success, 1 usage or parameter error,
-2 differential mismatch or validation failure.
+byte for byte. Exit codes: 0 success, 1 usage or parameter error or an
+unreadable input or unwritable output, 2 differential mismatch or
+validation failure. Subcommands raise ValueError/OSError; ``main`` alone
+reports them as ``<subcommand>: error: <message>``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .codes import (
-    CodeFormatError,
     ErrorPattern,
     QcSeedSpec,
     Syndrome,
@@ -28,9 +29,8 @@ from .codes import (
     save_code,
     syndrome,
 )
-from .decoders import BfConfig, bf_decode, bfmax_decode_naive, bfmax_decode_sparse
+from .decoders import DECODERS, decode
 from .dfr import predict_dfr
-from .rng import make_rng
 from .simulate import (
     FileCodeSource,
     FreshQcSource,
@@ -49,6 +49,8 @@ SIM_CSV_COLUMNS = (
 )
 
 PREDICT_CSV_COLUMNS = "n,r,v,w,t,q_max,dfr,log2_dfr,mode,format_version"
+
+_THRESHOLDS_HELP = "comma-separated per-iteration thresholds, one value for all (bf only)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,12 +105,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        spec = QcSeedSpec(args.r, args.v, args.seed)
-    except ValueError as exc:
-        print(f"gen: error: {exc}", file=sys.stderr)
-        return 1
-    H = generate_qc(spec)
+    H = generate_qc(QcSeedSpec(args.r, args.v, args.seed))
     save_code(H, args.out, qc_compact=args.qc_compact)
     _write_manifest(
         args.out,
@@ -126,17 +123,12 @@ def _cmd_predict(args) -> int:
     n = args.n if args.n is not None else 2 * args.r
     w = args.w if args.w is not None else 2 * args.v
     if args.t_min < 0 or args.t_max < args.t_min:
-        print("predict: error: need 0 <= t-min <= t-max", file=sys.stderr)
-        return 1
+        raise ValueError("need 0 <= t-min <= t-max")
     mode = "exact" if args.exact else "fast"
     rows = []
     json_objs = []
     for t in range(args.t_min, args.t_max + 1):
-        try:
-            pred = predict_dfr(n, args.r, args.v, w, t, mode=mode, dps=args.dps)
-        except ValueError as exc:
-            print(f"predict: error: {exc}", file=sys.stderr)
-            return 1
+        pred = predict_dfr(n, args.r, args.v, w, t, mode=mode, dps=args.dps)
         if args.json:
             obj = pred.to_json_dict()
             obj["format_version"] = FORMAT_VERSION
@@ -168,24 +160,27 @@ def _cmd_predict(args) -> int:
 # -- simulate ------------------------------------------------------------------
 
 
-def _resolve_source(args, parser_name: str):
+def _resolve_source(args):
     if args.code is not None:
         return FileCodeSource(args.code)
     if args.r is None or args.v is None:
-        print(f"{parser_name}: error: provide --code or both --r and --v", file=sys.stderr)
-        return None
+        raise ValueError("provide --code or both --r and --v")
     if args.code_seed is not None:
         return QcCodeSource(args.r, args.v, args.code_seed)
     return FreshQcSource(args.r, args.v)
 
 
-def _parse_thresholds(raw: str | None):
+def _parse_thresholds(raw: str | None, iter_max: int) -> tuple[int, ...] | None:
+    """``--thresholds`` per iteration; a single value serves every iteration."""
     if raw is None:
         return None
     try:
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
+        values = tuple(int(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
-        return ()
+        values = ()
+    if not values:
+        raise ValueError("bad --thresholds")
+    return values * iter_max if len(values) == 1 else values
 
 
 def _sim_csv_row(report, theory) -> str:
@@ -203,30 +198,22 @@ def _sim_csv_row(report, theory) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    source = _resolve_source(args, "simulate")
-    if source is None:
-        return 1
-    thresholds = _parse_thresholds(args.thresholds)
-    if thresholds == ():
-        print("simulate: error: bad --thresholds", file=sys.stderr)
-        return 1
-    try:
-        plan = SimPlan(
-            source=source,
-            t=args.t,
-            decoder=args.decoder,
-            iter_max=args.iter_max,
-            thresholds=thresholds,
-            max_trials=args.max_trials,
-            target_failures=args.target_failures,
-            master_seed=args.seed,
-            worker_count=_workers(args),
-            chunk_size=args.chunk_size,
-        )
-        report = run_sim(plan)
-    except (ValueError, CodeFormatError, OSError) as exc:
-        print(f"simulate: error: {exc}", file=sys.stderr)
-        return 1
+    source = _resolve_source(args)
+    iter_max = args.t if args.iter_max is None else args.iter_max
+    thresholds = _parse_thresholds(args.thresholds, iter_max)
+    plan = SimPlan(
+        source=source,
+        t=args.t,
+        decoder=args.decoder,
+        iter_max=args.iter_max,
+        thresholds=thresholds,
+        max_trials=args.max_trials,
+        target_failures=args.target_failures,
+        master_seed=args.seed,
+        worker_count=_workers(args),
+        chunk_size=args.chunk_size,
+    )
+    report = run_sim(plan)
 
     theory = None
     profile = source.profile()
@@ -273,51 +260,28 @@ def _read_syndrome_file(path, r: int) -> Syndrome:
 
 
 def _cmd_decode(args) -> int:
-    try:
-        H = load_code(args.code)
-    except (CodeFormatError, OSError) as exc:
-        print(f"decode: error: {exc}", file=sys.stderr)
-        return 1
-
+    H = load_code(args.code)
     true_error = None
-    try:
-        if args.error_support is not None:
-            support = [int(tok) for tok in args.error_support.split(",") if tok.strip()]
-            true_error = ErrorPattern.from_support(H.n, support)
-            s = syndrome(H, true_error)
-        elif args.syndrome_file is not None:
-            s = _read_syndrome_file(args.syndrome_file, H.r)
-        else:
-            print("decode: error: provide --error-support or --syndrome-file", file=sys.stderr)
-            return 1
-    except (ValueError, OSError) as exc:
-        print(f"decode: error: {exc}", file=sys.stderr)
-        return 1
+    if args.error_support is not None:
+        support = [int(tok) for tok in args.error_support.split(",") if tok.strip()]
+        true_error = ErrorPattern.from_support(H.n, support)
+        s = syndrome(H, true_error)
+    elif args.syndrome_file is not None:
+        s = _read_syndrome_file(args.syndrome_file, H.r)
+    else:
+        raise ValueError("provide --error-support or --syndrome-file")
 
-    iter_max = args.iter_max
-    try:
-        if args.decoder == "bf":
-            thresholds = _parse_thresholds(args.thresholds)
-            if not thresholds:
-                print("decode: error: bf decoder requires --thresholds", file=sys.stderr)
-                return 1
-            if len(thresholds) == 1:
-                thresholds = thresholds * iter_max
-            outcome = bf_decode(H, s, BfConfig(iter_max, thresholds))
-        elif args.decoder == "bfmax-naive":
-            outcome = bfmax_decode_naive(H, s, iter_max, make_rng(args.seed))
-        else:
-            outcome = bfmax_decode_sparse(H, s, iter_max, make_rng(args.seed))
-    except ValueError as exc:
-        print(f"decode: error: {exc}", file=sys.stderr)
-        return 1
+    outcome = decode(
+        args.decoder, H, s, args.iter_max,
+        thresholds=_parse_thresholds(args.thresholds, args.iter_max), tie_seed=args.seed,
+    )
 
     result = {
         "format_version": FORMAT_VERSION,
         "decoder": args.decoder,
         "n": H.n,
         "r": H.r,
-        "iter_max": iter_max,
+        "iter_max": args.iter_max,
         "seed": args.seed,
         "result": "success" if outcome.success else "failure",
         "error_support": (
@@ -340,23 +304,19 @@ def _cmd_decode(args) -> int:
 
 def _cmd_compare(args) -> int:
     source = FreshQcSource(args.r, args.v)
-    try:
-        workers = _workers(args)
-        diff_plan = SimPlan(
-            source=source, t=args.t, decoder="bfmax-sparse",
-            max_trials=args.trials, master_seed=args.seed,
-            worker_count=workers, chunk_size=args.chunk_size,
-        )
-        op_plan = SimPlan(
-            source=source, t=args.t, decoder="bfmax-sparse",
-            max_trials=args.opcount_trials, master_seed=args.seed + 1,
-            worker_count=workers, chunk_size=args.chunk_size,
-        )
-        diff = differential_campaign(diff_plan)
-        validation = opcount_validation(op_plan)
-    except ValueError as exc:
-        print(f"compare: error: {exc}", file=sys.stderr)
-        return 1
+    workers = _workers(args)
+    diff_plan = SimPlan(
+        source=source, t=args.t, decoder="bfmax-sparse",
+        max_trials=args.trials, master_seed=args.seed,
+        worker_count=workers, chunk_size=args.chunk_size,
+    )
+    op_plan = SimPlan(
+        source=source, t=args.t, decoder="bfmax-sparse",
+        max_trials=args.opcount_trials, master_seed=args.seed + 1,
+        worker_count=workers, chunk_size=args.chunk_size,
+    )
+    diff = differential_campaign(diff_plan)
+    validation = opcount_validation(op_plan)
 
     lines = ["term,measured,predicted,ratio,format_version"]
     for row in validation.rows:
@@ -423,11 +383,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--code-seed", type=int, default=None,
                    help="fixed QC key seed (default: fresh key per trial)")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--decoder", choices=("bf", "bfmax-naive", "bfmax-sparse"),
-                   default="bfmax-sparse")
+    p.add_argument("--decoder", choices=DECODERS, default="bfmax-sparse")
     p.add_argument("--iter-max", type=int, default=None, help="default: t")
-    p.add_argument("--thresholds", default=None,
-                   help="comma-separated per-iteration thresholds (bf only)")
+    p.add_argument("--thresholds", default=None, help=_THRESHOLDS_HELP)
     p.add_argument("--max-trials", type=int, default=10000)
     p.add_argument("--target-failures", type=int, default=1_000_000_000)
     p.add_argument("--workers", type=int, default=None, help="default: BFKIT_WORKERS, else 1")
@@ -441,10 +399,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--error-support", default=None,
                    help="comma-separated error positions; syndrome computed from them")
     p.add_argument("--syndrome-file", default=None)
-    p.add_argument("--decoder", choices=("bf", "bfmax-naive", "bfmax-sparse"),
-                   default="bfmax-sparse")
+    p.add_argument("--decoder", choices=DECODERS, default="bfmax-sparse")
     p.add_argument("--iter-max", type=int, required=True)
-    p.add_argument("--thresholds", default=None)
+    p.add_argument("--thresholds", default=None, help=_THRESHOLDS_HELP)
     p.add_argument("--seed", type=int, default=0, help="tie-break seed")
     p.set_defaults(func=_cmd_decode)
 
@@ -469,7 +426,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"{args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

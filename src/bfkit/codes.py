@@ -106,29 +106,6 @@ class SparseParityCheck:
             and np.array_equal(self.col_supports, other.col_supports)
         )
 
-    def check_invariants(self) -> None:
-        """Exhaustive structural validation (full transpose scan).
-
-        Construction already guarantees these; this is the independent
-        check used by tests and by ``load_code``.
-        """
-        col_sets = [set(map(int, self.col_supports[i])) for i in range(self.n)]
-        if any(len(s) != self.v for s in col_sets):
-            raise AssertionError("column weight is not constant")
-        seen = 0
-        for j in range(self.r):
-            sup = self.row_support(j)
-            if sup.size and (np.diff(sup) <= 0).any():
-                raise AssertionError(f"row {j} support not strictly increasing")
-            if sup.size and (sup.min() < 0 or sup.max() >= self.n):
-                raise AssertionError(f"row {j} support index out of range")
-            for i in map(int, sup):
-                if j not in col_sets[i]:
-                    raise AssertionError(f"row {j} lists column {i}, column disagrees")
-            seen += sup.size
-        if seen != self.n * self.v:
-            raise AssertionError("row/column entry counts disagree")
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -351,7 +328,8 @@ def sample_error(n: int, t: int, rng: np.random.Generator) -> ErrorPattern:
 #   ...                           <v indices, block 2 first column>
 #   <v indices of column n-1>
 #
-# Indices are 0-based, space-separated, ascending within a line.
+# Indices are 0-based and space-separated. A line may list them in any
+# order (``load_code`` sorts it); ``save_code`` writes them ascending.
 
 
 def _parse_index_line(line: str, lineno: int, expected: int, label: str, limit: int) -> np.ndarray:
@@ -370,6 +348,13 @@ def _parse_index_line(line: str, lineno: int, expected: int, label: str, limit: 
     if arr.size > 1 and (np.diff(np.sort(arr)) == 0).any():
         raise CodeFormatError(f"line {lineno}: {label}: duplicate index")
     return arr
+
+
+def _reject_trailing(lines: list[str], start: int, after: str) -> None:
+    """Raise naming the first non-blank line from index ``start`` on."""
+    for k in range(start, len(lines)):
+        if lines[k].split():
+            raise CodeFormatError(f"line {k + 1}: trailing content after {after}")
 
 
 def load_code(path) -> SparseParityCheck:
@@ -396,8 +381,7 @@ def load_code(path) -> SparseParityCheck:
             raise CodeFormatError(f"line 1: invalid QC parameters r={r} v={v}")
         if len(lines) < 3:
             raise CodeFormatError(f"line {len(lines) + 1}: expected 2 block support lines")
-        if len(lines) > 3 and any(ln.split() for ln in lines[3:]):
-            raise CodeFormatError("line 4: trailing content after QC blocks")
+        _reject_trailing(lines, 3, "QC blocks")
         firsts = tuple(
             np.sort(_parse_index_line(lines[1 + b], 2 + b, v, f"block {b}", r)).astype(_INDEX_DTYPE)
             for b in range(2)
@@ -414,14 +398,11 @@ def load_code(path) -> SparseParityCheck:
         raise CodeFormatError(f"line 1: inconsistent parameters n={n} r={r} v={v}")
     if len(lines) < 1 + n:
         raise CodeFormatError(f"line {len(lines) + 1}: expected {n} column lines, file ends early")
-    if len(lines) > 1 + n and any(ln.split() for ln in lines[1 + n:]):
-        raise CodeFormatError(f"line {n + 2}: trailing content after {n} columns")
+    _reject_trailing(lines, 1 + n, f"{n} columns")
     cols = np.empty((n, v), dtype=np.int64)
     for i in range(n):
         cols[i] = np.sort(_parse_index_line(lines[1 + i], 2 + i, v, f"column {i}", r))
-    H = SparseParityCheck.from_col_supports(cols, r)
-    H.check_invariants()
-    return H
+    return SparseParityCheck.from_col_supports(cols, r)
 
 
 def save_code(H: SparseParityCheck, path, *, qc_compact: bool = False) -> None:

@@ -13,6 +13,8 @@ Three decoders, one counter definition:
   touching only the v*w counters adjacent to the flipped column. Under the
   same tie-break stream their flip histories are bit-for-bit equal.
 
+``decode`` runs any of them by its name in ``DECODERS``.
+
 The counter of position i is the number of unsatisfied parity checks it
 participates in; it always lies in [0, v]. Decoding stops when the working
 syndrome reaches zero or the iteration budget runs out, and succeeds iff
@@ -31,8 +33,11 @@ from typing import Callable
 import numpy as np
 
 from .codes import ErrorPattern, SparseParityCheck, Syndrome
+from .rng import make_rng
 
 _COUNTER_DTYPE = np.int16
+
+DECODERS = ("bf", "bfmax-naive", "bfmax-sparse")
 
 
 @dataclass
@@ -96,6 +101,8 @@ class BfConfig:
     thresholds: tuple[int, ...]
 
     def __post_init__(self):
+        if self.thresholds is None:
+            raise ValueError("bf decoder requires thresholds")
         if self.iter_max < 0:
             raise ValueError("iter_max must be non-negative")
         if len(self.thresholds) != self.iter_max:
@@ -228,7 +235,6 @@ def bfmax_decode_sparse(
     *,
     fixed_iterations: bool = False,
     on_iteration: IterationHook | None = None,
-    verify_counters: bool = False,
 ) -> DecodeOutcome:
     """Single-flip decoding with incremental counter maintenance.
 
@@ -237,13 +243,10 @@ def bfmax_decode_sparse(
     j the counters of every position in row j move by d = -1 if the check
     became satisfied, else d = +1. Produces the same outcome and flip
     history as ``bfmax_decode_naive`` for the same tie-break stream.
-    ``verify_counters`` re-derives the counters from the working syndrome
-    after every iteration and raises on any divergence (debug aid).
     """
     return _bfmax_decode(
         H, s, iter_max, rng, incremental=True,
         fixed_iterations=fixed_iterations, on_iteration=on_iteration,
-        verify_counters=verify_counters,
     )
 
 
@@ -256,7 +259,6 @@ def _bfmax_decode(
     incremental: bool,
     fixed_iterations: bool,
     on_iteration: IterationHook | None,
-    verify_counters: bool = False,
 ) -> DecodeOutcome:
     """The single-flip loop. ``incremental`` picks the counter strategy:
     compute once and update the rows a flip touches, or recompute every
@@ -303,15 +305,34 @@ def _bfmax_decode(
             state.syndrome_weight += 2 * int(now_set.sum()) - checks.size
             state.flip_log.append(i_star)
         state.iterations = it
-        if verify_counters:
-            fresh = _compute_counters(H, state.syndrome, OpCounts())
-            if not np.array_equal(state.counters, fresh):
-                raise AssertionError(f"incremental counters diverged at iteration {it}")
         if on_iteration is not None:
             on_iteration(state)
 
     recovered = _estimate_pattern(state.estimate) if state.syndrome_weight == 0 else None
     return DecodeOutcome(recovered, state.iterations, tuple(state.flip_log), ops)
+
+
+def decode(
+    decoder: str,
+    H: SparseParityCheck,
+    s: Syndrome,
+    iter_max: int,
+    *,
+    thresholds: tuple[int, ...] | None = None,
+    tie_seed: int = 0,
+) -> DecodeOutcome:
+    """Run the decoder named ``decoder`` (one of ``DECODERS``).
+
+    ``bf`` flips by ``thresholds``; the single-flip decoders break ties
+    with a stream seeded from ``tie_seed``.
+    """
+    if decoder == "bf":
+        return bf_decode(H, s, BfConfig(iter_max, thresholds))
+    if decoder == "bfmax-naive":
+        return bfmax_decode_naive(H, s, iter_max, make_rng(tie_seed))
+    if decoder == "bfmax-sparse":
+        return bfmax_decode_sparse(H, s, iter_max, make_rng(tie_seed))
+    raise ValueError(f"unknown decoder {decoder!r}; choose from {DECODERS}")
 
 
 def predicted_op_count(H: SparseParityCheck, iter_max: int) -> float:

@@ -118,10 +118,6 @@ class CounterDistribution:
     there is no error position (u = 0).
     """
 
-    v: int
-    u: int | None
-    rho1: float | None
-    rho0: float
     log_g1: np.ndarray | None
     log_g0: np.ndarray
     tail1: np.ndarray | None
@@ -155,7 +151,7 @@ def _cdf_pieces(log_g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tail, np.logaddexp.accumulate(log_g)
 
 
-def counter_pmfs(v: int, rho1: float | None, rho0: float, u: int | None = None) -> CounterDistribution:
+def counter_pmfs(v: int, rho1: float | None, rho0: float) -> CounterDistribution:
     """Binomial counter pmfs over [0, v] for the two position classes."""
     for name, p in (("rho1", rho1), ("rho0", rho0)):
         if p is not None and not 0.0 <= p <= 1.0:
@@ -168,7 +164,6 @@ def counter_pmfs(v: int, rho1: float | None, rho0: float, u: int | None = None) 
         log_g1 = _log_binom_pmf(v, rho1)
         tail1, log_cum1 = _cdf_pieces(log_g1)
     return CounterDistribution(
-        v=v, u=u, rho1=rho1, rho0=rho0,
         log_g1=log_g1, log_g0=log_g0,
         tail1=tail1, tail0=tail0,
         log_cum1=log_cum1, log_cum0=log_cum0,
@@ -285,7 +280,7 @@ def predict_dfr(n: int, r: int, v: int, w: int, t: int, *, mode: str = "fast", d
     log_qs = []
     for u in range(1, t + 1):
         r1, r0 = rho(n, w, u)
-        dist = counter_pmfs(v, r1, r0, u=u)
+        dist = counter_pmfs(v, r1, r0)
         log_qs.append(log_iteration_failure(n, v, u, dist))
     dfr, log_dfr = _assemble(log_qs)
     qs = np.exp(log_qs) if log_qs else np.empty(0)

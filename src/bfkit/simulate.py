@@ -42,19 +42,17 @@ from .codes import (
     syndrome,
 )
 from .decoders import (
+    DECODERS,
     BfConfig,
-    DecodeOutcome,
     OpCounts,
-    bf_decode,
     bfmax_decode_naive,
     bfmax_decode_sparse,
+    decode,
     predicted_op_count,
 )
 from .rng import STREAM_ERROR, STREAM_KEY, STREAM_TIEBREAK, child_seed, make_rng
 
 SEED_SCHEME = "splitmix64-v1"
-
-DECODERS = ("bf", "bfmax-naive", "bfmax-sparse")
 
 
 # -- code sources ------------------------------------------------------------
@@ -168,8 +166,8 @@ class SimPlan:
             raise ValueError("t must be non-negative")
         if self.iter_max is not None and self.iter_max < 0:
             raise ValueError("iter_max must be non-negative")
-        if self.decoder == "bf" and self.thresholds is None:
-            raise ValueError("bf decoder requires thresholds")
+        if self.decoder == "bf":
+            BfConfig(self.effective_iter_max, self.thresholds)  # raises if they do not fit
         if self.worker_count < 1:
             raise ValueError("worker_count must be at least 1")
         if self.chunk_size < 1:
@@ -249,19 +247,12 @@ def _trial_inputs(
     return H, e, syndrome(H, e), child_seed(child, STREAM_TIEBREAK)
 
 
-def _decode(plan: SimPlan, H: SparseParityCheck, s: Syndrome, tie_seed: int) -> DecodeOutcome:
-    if plan.decoder == "bf":
-        cfg = BfConfig(plan.effective_iter_max, plan.thresholds)
-        return bf_decode(H, s, cfg)
-    rng = make_rng(tie_seed)
-    if plan.decoder == "bfmax-naive":
-        return bfmax_decode_naive(H, s, plan.effective_iter_max, rng)
-    return bfmax_decode_sparse(H, s, plan.effective_iter_max, rng)
-
-
 def _run_trial(plan: SimPlan, index: int):
     H, e, s, tie_seed = _trial_inputs(plan, index)
-    outcome = _decode(plan, H, s, tie_seed)
+    outcome = decode(
+        plan.decoder, H, s, plan.effective_iter_max,
+        thresholds=plan.thresholds, tie_seed=tie_seed,
+    )
     exact = outcome.success and outcome.error_estimate == e
     miscorrection = outcome.success and not exact
     ops = outcome.op_counts

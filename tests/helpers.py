@@ -155,6 +155,28 @@ def gf2_rank(H: SparseParityCheck) -> int:
     return rank
 
 
+def check_invariants(H: SparseParityCheck) -> None:
+    """Exhaustive structural validation by a full transpose scan: constant
+    column weight, strictly increasing in-range row supports, and every row
+    entry confirmed by its column."""
+    col_sets = [set(map(int, H.col_supports[i])) for i in range(H.n)]
+    if any(len(s) != H.v for s in col_sets):
+        raise AssertionError("column weight is not constant")
+    seen = 0
+    for j in range(H.r):
+        sup = H.row_support(j)
+        if sup.size and (np.diff(sup) <= 0).any():
+            raise AssertionError(f"row {j} support not strictly increasing")
+        if sup.size and (sup.min() < 0 or sup.max() >= H.n):
+            raise AssertionError(f"row {j} support index out of range")
+        for i in map(int, sup):
+            if j not in col_sets[i]:
+                raise AssertionError(f"row {j} lists column {i}, column disagrees")
+        seen += sup.size
+    if seen != H.n * H.v:
+        raise AssertionError("row/column entry counts disagree")
+
+
 def recompute_counters(H: SparseParityCheck, s_bits: np.ndarray) -> np.ndarray:
     """Definitional counters: unsatisfied checks touching each position."""
     return s_bits[H.col_supports].sum(axis=1, dtype=np.int64)

@@ -154,6 +154,53 @@ def test_simulate_appends_theory_column_for_regular_bfmax(tmp_path):
     assert float(fields["log2_dfr_theory"]) < 0
 
 
+def test_simulate_output_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(
+        "simulate", "--r", 13, "--v", 3, "--t", 3,
+        "--max-trials", 200, "--seed", 5, "--out", "sim.csv",
+    ) == 0
+    assert (tmp_path / "sim.csv").read_bytes().decode() == (
+        SIM_CSV_COLUMNS + "\n"
+        "26,13,3,6,3,bfmax-sparse,3,200,187,13,0.935,0.891412763496,0.964939291343,"
+        "0.971067753486,-0.0423561357948,5,1\n"
+    )
+    assert (tmp_path / "sim.csv.manifest.json").read_bytes().decode() == (
+        '{\n'
+        '  "format_version": "1",\n'
+        '  "outputs": [\n'
+        '    "sim.csv"\n'
+        '  ],\n'
+        '  "parameters": {\n'
+        '    "chunk_size": 512,\n'
+        '    "decoder": "bfmax-sparse",\n'
+        '    "iter_max": 3,\n'
+        '    "max_trials": 200,\n'
+        '    "seed": 5,\n'
+        '    "source": "fresh-qc(r=13,v=3)",\n'
+        '    "t": 3,\n'
+        '    "target_failures": 1000000000,\n'
+        '    "thresholds": null,\n'
+        '    "workers": 1\n'
+        '  },\n'
+        '  "subcommand": "simulate",\n'
+        '  "tool": "bfkit",\n'
+        '  "tool_version": "0.1.0"\n'
+        '}\n'
+    )
+
+
+def test_simulate_single_threshold_serves_every_iteration(capsys):
+    outputs = []
+    for thresholds in ("2", "2,2"):
+        assert run_cli(
+            "simulate", "--r", 13, "--v", 3, "--t", 2, "--decoder", "bf",
+            "--thresholds", thresholds, "--max-trials", 100, "--seed", 1,
+        ) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_usage_error(tmp_path, capsys):
     assert run_cli("simulate", "--t", 2) == 1
     assert "provide --code" in capsys.readouterr().err
@@ -264,6 +311,41 @@ def test_decode_bf_requires_thresholds(toy_file, capsys):
     assert "thresholds" in capsys.readouterr().err
 
 
+_PINNED_DECODES = {
+    "bf": (
+        '{"decoder": "bf", "error_support": null, "flip_log": [1, 2, 5, 16, 20, 25], '
+        '"format_version": "1", "iter_max": 3, "iterations_used": 3, "n": 26, '
+        '"op_counts": {"argmax_comparisons": 78, "counter_init_adds": 234, '
+        '"counter_update_touches": 0, "syndrome_bit_updates": 18}, "r": 13, '
+        '"recovered_equals_input": false, "result": "failure", "seed": 3}\n'
+    ),
+    "bfmax-naive": (
+        '{"decoder": "bfmax-naive", "error_support": null, "flip_log": [20, 1, 5], '
+        '"format_version": "1", "iter_max": 3, "iterations_used": 3, "n": 26, '
+        '"op_counts": {"argmax_comparisons": 78, "counter_init_adds": 234, '
+        '"counter_update_touches": 0, "syndrome_bit_updates": 9}, "r": 13, '
+        '"recovered_equals_input": false, "result": "failure", "seed": 3}\n'
+    ),
+    "bfmax-sparse": (
+        '{"decoder": "bfmax-sparse", "error_support": null, "flip_log": [20, 1, 5], '
+        '"format_version": "1", "iter_max": 3, "iterations_used": 3, "n": 26, '
+        '"op_counts": {"argmax_comparisons": 78, "counter_init_adds": 78, '
+        '"counter_update_touches": 54, "syndrome_bit_updates": 9}, "r": 13, '
+        '"recovered_equals_input": false, "result": "failure", "seed": 3}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("decoder", sorted(_PINNED_DECODES))
+def test_decode_output_is_pinned(decoder, toy_file, capsys):
+    thresholds = ("--thresholds", "3,3,2") if decoder == "bf" else ()
+    assert run_cli(
+        "decode", "--code", toy_file, "--error-support", "1,5",
+        "--decoder", decoder, "--iter-max", 3, "--seed", 3, *thresholds,
+    ) == 0
+    assert capsys.readouterr().out == _PINNED_DECODES[decoder]
+
+
 def test_decode_bf_with_thresholds(toy_file, capsys):
     assert run_cli(
         "decode", "--code", toy_file, "--error-support", "3",
@@ -329,7 +411,60 @@ def test_compare_rejects_bad_parameters(params, message, capsys):
     assert f"compare: error: {message}" in err
 
 
+def test_compare_output_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(
+        "compare", "--r", 13, "--v", 3, "--t", 3, "--trials", 200,
+        "--opcount-trials", 50, "--seed", 3, "--out", "ops.csv",
+    ) == 0
+    assert capsys.readouterr().err == "0 mismatches in 200 trials\n"
+    assert (tmp_path / "ops.csv").read_bytes().decode() == (
+        "term,measured,predicted,ratio,format_version\n"
+        "counter_update_touches_per_iteration,18,18,1,1\n"
+        "argmax_comparisons_per_iteration,26,26,1,1\n"
+        "syndrome_bit_updates_per_iteration,3,3,1,1\n"
+        "weighted_total,310.725789112,313.254150113,0.991928723052,1\n"
+    )
+    assert (tmp_path / "ops.csv.manifest.json").read_bytes().decode() == (
+        '{\n'
+        '  "format_version": "1",\n'
+        '  "outputs": [\n'
+        '    "ops.csv"\n'
+        '  ],\n'
+        '  "parameters": {\n'
+        '    "opcount_trials": 50,\n'
+        '    "r": 13,\n'
+        '    "seed": 3,\n'
+        '    "t": 3,\n'
+        '    "trials": 200,\n'
+        '    "v": 3,\n'
+        '    "workers": 1\n'
+        '  },\n'
+        '  "subcommand": "compare",\n'
+        '  "tool": "bfkit",\n'
+        '  "tool_version": "0.1.0"\n'
+        '}\n'
+    )
+
+
 # -- global behavior ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--r", 13, "--v", 3, "--seed", 1),
+        ("predict", "--r", 13, "--v", 3, "--t-min", 1, "--t-max", 2),
+        ("simulate", "--r", 13, "--v", 3, "--t", 2, "--max-trials", 10),
+        ("compare", "--trials", 10, "--opcount-trials", 10),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_into_missing_directory_exits_one(argv, tmp_path, capsys):
+    assert run_cli(*argv, "--out", tmp_path / "missing" / "out.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: error: [Errno 2] No such file or directory")
+    assert "Traceback" not in err
 
 
 def test_unknown_flag_exits_one():

@@ -18,7 +18,13 @@ from bfkit.codes import (
 )
 from bfkit.rng import make_rng
 
-from helpers import dense_matrix, dense_syndrome, gf2_rank, toy_code_from_columns
+from helpers import (
+    check_invariants,
+    dense_matrix,
+    dense_syndrome,
+    gf2_rank,
+    toy_code_from_columns,
+)
 
 
 # -- quasi-cyclic generation ---------------------------------------------------
@@ -68,7 +74,7 @@ def test_qc_rejects_overweight_column():
 @given(st.integers(0, 2**64 - 1))
 def test_qc_invariants_property(seed):
     H = generate_qc(QcSeedSpec(29, 4, seed))
-    H.check_invariants()
+    check_invariants(H)
     assert sum(H.row_weights) == H.n * H.v
 
 
@@ -157,7 +163,7 @@ def test_random_regular_code_profiles():
     rng = make_rng(11)
     for n, r, v, w in [(16, 8, 3, 6), (24, 12, 3, 6), (30, 10, 2, 6)]:
         H = random_regular_code(n, r, v, w, rng)
-        H.check_invariants()
+        check_invariants(H)
         assert (H.row_weights == w).all()
         assert H.is_row_regular
 
@@ -174,6 +180,7 @@ def test_full_format_round_trip(tmp_path, toy):
     p1, p2 = tmp_path / "a.code", tmp_path / "b.code"
     save_code(toy, p1)
     loaded = load_code(p1)
+    check_invariants(loaded)
     assert loaded == toy
     save_code(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
@@ -184,6 +191,7 @@ def test_qc_compact_round_trip(tmp_path):
     p1, p2 = tmp_path / "a.qc", tmp_path / "b.qc"
     save_code(H, p1, qc_compact=True)
     loaded = load_code(p1)
+    check_invariants(loaded)
     assert loaded == H
     assert loaded.qc_first_columns is not None
     save_code(loaded, p2, qc_compact=True)
@@ -214,6 +222,8 @@ def test_qc_compact_requires_qc_structure(tmp_path):
         ("x y z\n", "header"),
         ("QC 5 2\n0 1\n", "line 3"),
         ("QC 5 2\n0 1\n1 2\n0 3\n", "trailing"),
+        ("QC 5 2\n0 1\n1 2\n\n\nx\n", "line 6: trailing"),
+        ("2 3 2\n0 1\n1 2\n\nx\n", "line 5: trailing"),
         ("2 3 2\n0 a\n1 2\n", "non-integer"),
         ("2 3 2\n0 1\n1 99999999999999999999\n", "line 3: column 1: index out of range"),
     ],
@@ -265,6 +275,7 @@ def test_load_code_fuzz_loads_or_names_the_line(tmp_path_factory, data):
         assert str(exc).startswith("line "), str(exc)
     else:
         assert isinstance(H, SparseParityCheck)
+        check_invariants(H)
 
 
 # -- misc -------------------------------------------------------------------------

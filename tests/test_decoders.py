@@ -233,13 +233,23 @@ def test_sparse_counters_match_recomputation_each_iteration(toy):
 
 
 def test_verify_counters_debug_flag(toy):
+    # the debug check of the counters is an on_iteration hook that
+    # recomputes them from the syndrome after every iteration
     rng = make_rng(13)
+    checked = 0
+
+    def hook(state):
+        nonlocal checked
+        np.testing.assert_array_equal(
+            state.counters, recompute_counters(state.H, state.syndrome)
+        )
+        checked += 1
+
     for k in range(50):
         e = sample_error(toy.n, 4, rng)
-        out = bfmax_decode_sparse(
-            toy, syndrome(toy, e), 6, make_rng(k), verify_counters=True
-        )
+        out = bfmax_decode_sparse(toy, syndrome(toy, e), 6, make_rng(k), on_iteration=hook)
         assert len(out.flip_log) == out.iterations_used
+    assert checked > 50
 
 
 def test_constant_work_per_iteration_on_regular_codes():

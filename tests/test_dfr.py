@@ -123,7 +123,7 @@ def test_pmf_rejects_bad_probability():
 def test_single_residual_error_reduces_to_max_reach():
     n, v, w = 40, 4, 6
     r1, r0 = rho(n, w, 1)
-    dist = counter_pmfs(v, r1, r0, u=1)
+    dist = counter_pmfs(v, r1, r0)
     q1 = q_u(n, v, 1, dist)
     # with one residual error its counter is v surely, so failure means some
     # error-free counter also reaches v
@@ -138,7 +138,7 @@ def test_complement_and_direct_forms_agree():
         assert r * w == n * v
         for u in range(1, 12):
             r1, r0 = rho(n, w, u)
-            dist = counter_pmfs(v, r1, r0, u=u)
+            dist = counter_pmfs(v, r1, r0)
             q = q_u(n, v, u, dist)
             q_direct = iteration_failure_direct(n, v, u, dist)
             if q > 1e-12:
@@ -150,7 +150,7 @@ def test_complement_and_direct_forms_agree():
 def test_max_distribution_normalizes():
     for n, v, w, u in [(60, 5, 10, 3), (604, 13, 26, 9)]:
         r1, r0 = rho(n, w, u)
-        dist = counter_pmfs(v, r1, r0, u=u)
+        dist = counter_pmfs(v, r1, r0)
         m = n - u
         cum_g0 = linear_cdf(dist.log_g0)
         total = sum(
@@ -170,7 +170,7 @@ def test_toy_profile_against_counter_event_enumeration():
     # large-n acceptance tests.
     n, r, v, w = 12, 6, 3, 6
     r1, r0 = rho(n, w, 1)
-    q1 = q_u(n, v, 1, counter_pmfs(v, r1, r0, u=1))
+    q1 = q_u(n, v, 1, counter_pmfs(v, r1, r0))
     rng = make_rng(99)
     hits = tot = 0
     for _ in range(800):
@@ -247,7 +247,7 @@ def test_q_u_non_increasing_in_code_length():
         for r in (100, 200, 400, 800):
             n = 2 * r
             r1, r0 = rho(n, 26, u)
-            qs.append(q_u(n, 13, u, counter_pmfs(13, r1, r0, u=u)))
+            qs.append(q_u(n, 13, u, counter_pmfs(13, r1, r0)))
         assert all(b <= a * (1 + 1e-12) for a, b in zip(qs, qs[1:]))
 
 
@@ -269,7 +269,7 @@ def test_assumption_one_first_iteration_total_variation():
     n, r, v, w, t = 24, 12, 3, 6, 4
     rng = make_rng(5)
     r1, r0 = rho(n, w, t)
-    dist = counter_pmfs(v, r1, r0, u=t)
+    dist = counter_pmfs(v, r1, r0)
     c1 = np.zeros(v + 1)
     c0 = np.zeros(v + 1)
     for _ in range(20):
