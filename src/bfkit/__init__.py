@@ -10,6 +10,7 @@ simulation.
 
 from .codes import (
     CodeFormatError,
+    CodeIndex,
     ErrorPattern,
     QcSeedSpec,
     SparseParityCheck,
@@ -28,6 +29,7 @@ from .decoders import (
     OpCounts,
     argmax_scan,
     bf_decode,
+    bfmax_decode_group,
     bfmax_decode_naive,
     bfmax_decode_sparse,
     predicted_op_count,

@@ -36,6 +36,7 @@ from .simulate import (
     FreshQcSource,
     QcCodeSource,
     SimPlan,
+    checked_profile,
     differential_campaign,
     opcount_validation,
     run_sim,
@@ -92,6 +93,15 @@ def _write_manifest(out_path: str, subcommand: str, params: dict) -> None:
     Path(str(out_path) + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+
+
+def _claim_out(out: str | None) -> None:
+    """Fail on an unwritable ``--out`` before any trial runs (and after the
+    plan is known to fit its code): opening it for append creates it if
+    missing and leaves any content in place."""
+    if out is not None:
+        with open(out, "a", encoding="utf-8"):
+            pass
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -213,10 +223,11 @@ def _cmd_simulate(args) -> int:
         worker_count=_workers(args),
         chunk_size=args.chunk_size,
     )
+    profile = checked_profile(plan)
+    _claim_out(args.out)
     report = run_sim(plan)
 
     theory = None
-    profile = source.profile()
     regular = profile.is_row_regular and profile.n * profile.v == profile.r * profile.w_max
     if regular and plan.decoder.startswith("bfmax") and plan.effective_iter_max == plan.t:
         theory = predict_dfr(profile.n, profile.r, profile.v, profile.w_max, plan.t)
@@ -315,6 +326,8 @@ def _cmd_compare(args) -> int:
         max_trials=args.opcount_trials, master_seed=args.seed + 1,
         worker_count=workers, chunk_size=args.chunk_size,
     )
+    checked_profile(diff_plan)
+    _claim_out(args.out)
     diff = differential_campaign(diff_plan)
     validation = opcount_validation(op_plan)
 

@@ -1,17 +1,22 @@
 """Sparse parity-check matrices, quasi-cyclic construction, syndromes, errors.
 
-A parity-check matrix is held column-sparse: every column stores the v row
-indices of its set entries, and the transposed row supports are kept in CSR
-form for the decoders. Syndromes are dense bit vectors (one byte per bit),
-error vectors are sorted index lists. Indices are 0-based everywhere,
-including file formats.
+A parity-check matrix is held column-sparse. A quasi-cyclic code is stored
+as the first column of each circulant block; any other code as the v row
+indices of each of its columns. Tables a caller asks for (the full column
+table of a quasi-cyclic code, the CSR row view of any code) are built on
+first use. ``CodeIndex`` does the index arithmetic the decoders and
+``syndrome`` need, for one code or for a group of trials' codes, so no other
+module reads the storage format. Syndromes are dense bit vectors (one byte
+per bit), error vectors are sorted index lists. Indices are 0-based
+everywhere, including file formats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -31,38 +36,87 @@ class CodeFormatError(ValueError):
 class SparseParityCheck:
     """Column-regular sparse binary parity-check matrix.
 
-    ``col_supports`` is an (n, v) array, row i holding the sorted row
-    indices of column i. Row supports are derived from it at construction
-    (``row_indices``/``row_ptr`` in CSR layout), so the two views are
-    transpose-consistent by construction. Instances are immutable and safe
-    to share across threads and processes.
+    Exactly one stored form is set: ``qc_first_columns``, the sorted
+    first-column support of each circulant block of a quasi-cyclic code
+    (column k*r + c has support (S_k + c) mod r), or ``column_table``, an
+    (n, v) array whose row i holds the sorted row indices of column i.
+    ``col_supports`` and the CSR row view (``row_indices``/``row_ptr``) are
+    derived from it on first use, so every view is transpose-consistent by
+    construction. Instances are immutable and safe to share across threads
+    and processes. Build them with ``from_col_supports`` or
+    ``from_qc_first_columns``.
     """
 
     n: int
     r: int
     v: int
-    col_supports: np.ndarray
-    row_indices: np.ndarray
-    row_ptr: np.ndarray
     qc_first_columns: tuple[np.ndarray, ...] | None = None
+    column_table: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.r < 1 or self.v < 1:
             raise ValueError("n, r and v must be positive")
         if self.v >= 1 << 15:
             raise ValueError("column weight must fit a 16-bit counter")
-        if self.col_supports.shape != (self.n, self.v):
-            raise ValueError("col_supports must have shape (n, v)")
-        if self.col_supports.size:
-            if self.col_supports.min() < 0 or self.col_supports.max() >= self.r:
+        if (self.qc_first_columns is None) == (self.column_table is None):
+            raise ValueError("give exactly one of qc_first_columns and column_table")
+        if self.column_table is not None:
+            table = self.column_table
+            if table.shape != (self.n, self.v):
+                raise ValueError("column_table must have shape (n, v)")
+            if table.min() < 0 or table.max() >= self.r:
                 raise ValueError("column support index out of range")
-            if self.v > 1 and not (np.diff(self.col_supports, axis=1) > 0).all():
+            if self.v > 1 and not (np.diff(table, axis=1) > 0).all():
                 raise ValueError("column supports must be strictly increasing")
+        else:
+            if self.n != self.r * len(self.qc_first_columns):
+                raise ValueError("QC first columns must be v indices per r-column block")
+            for first in self.qc_first_columns:
+                # a few dozen indices: plain Python is quicker than numpy here
+                rows = first.tolist()
+                if first.shape != (self.v,):
+                    raise ValueError("QC first columns must be v indices per r-column block")
+                if rows[0] < 0 or rows[-1] >= self.r:
+                    raise ValueError("column support index out of range")
+                if any(a >= b for a, b in zip(rows, rows[1:])):
+                    raise ValueError("column supports must be strictly increasing")
 
-    # -- derived shape metadata -------------------------------------------
+    # -- derived views -------------------------------------------------------
+
+    @cached_property
+    def col_supports(self) -> np.ndarray:
+        """(n, v) table, row i the sorted row indices of column i."""
+        if self.column_table is not None:
+            return self.column_table
+        shifts = np.arange(self.r, dtype=_INDEX_DTYPE)[:, None]
+        return np.ascontiguousarray(np.vstack([
+            np.sort((first[None, :] + shifts) % self.r, axis=1)
+            for first in self.qc_first_columns
+        ]))
+
+    @cached_property
+    def _row_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        rows_flat = self.col_supports.ravel()
+        col_of_entry = np.repeat(np.arange(self.n, dtype=_INDEX_DTYPE), self.v)
+        # Stable sort by row keeps column indices ascending within each row.
+        row_indices = col_of_entry[np.argsort(rows_flat, kind="stable")]
+        row_ptr = np.zeros(self.r + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows_flat, minlength=self.r), out=row_ptr[1:])
+        return row_indices, row_ptr
+
+    @property
+    def row_indices(self) -> np.ndarray:
+        return self._row_csr[0]
+
+    @property
+    def row_ptr(self) -> np.ndarray:
+        return self._row_csr[1]
 
     @cached_property
     def row_weights(self) -> np.ndarray:
+        if self.qc_first_columns is not None:
+            # every row meets v columns of each block
+            return np.full(self.r, self.n * self.v // self.r, dtype=np.int64)
         return np.diff(self.row_ptr)
 
     @cached_property
@@ -85,55 +139,137 @@ class SparseParityCheck:
             raise ValueError("row supports are ragged; use row_support(j)")
         return self.row_indices.reshape(self.r, self.w_max)
 
+    @cached_property
+    def index(self) -> "CodeIndex":
+        """The ``CodeIndex`` of this code alone, built on first use."""
+        return CodeIndex([self])
+
     def row_support(self, j: int) -> np.ndarray:
         return self.row_indices[self.row_ptr[j]:self.row_ptr[j + 1]]
-
-    def row_entries(self, rows: np.ndarray) -> tuple[np.ndarray, int | list[int]]:
-        """Column indices of ``rows``, concatenated in order, and the length
-        of each row (one int when the code is row-regular)."""
-        if self.is_row_regular:
-            return self.row_matrix[rows].ravel(), self.row_matrix.shape[1]
-        segments = [self.row_support(int(j)) for j in rows]
-        return np.concatenate(segments), [seg.size for seg in segments]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseParityCheck):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.r == other.r
-            and self.v == other.v
-            and np.array_equal(self.col_supports, other.col_supports)
-        )
+        if (self.n, self.r, self.v) != (other.n, other.r, other.v):
+            return False
+        if self.qc_first_columns is not None and other.qc_first_columns is not None:
+            return all(map(np.array_equal, self.qc_first_columns, other.qc_first_columns))
+        return np.array_equal(self.col_supports, other.col_supports)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_col_supports(
-        cls,
-        col_supports: np.ndarray,
-        r: int,
-        qc_first_columns: tuple[np.ndarray, ...] | None = None,
-    ) -> "SparseParityCheck":
-        """Build from an (n, v) column-support array, deriving row supports."""
+    def from_col_supports(cls, col_supports: np.ndarray, r: int) -> "SparseParityCheck":
+        """Build from an (n, v) column-support array (each row sorted here)."""
         cols = np.ascontiguousarray(np.sort(np.asarray(col_supports, dtype=_INDEX_DTYPE), axis=1))
         n, v = cols.shape
-        rows_flat = cols.ravel()
-        col_of_entry = np.repeat(np.arange(n, dtype=_INDEX_DTYPE), v)
-        if rows_flat.size and (rows_flat.min() < 0 or rows_flat.max() >= r):
-            raise ValueError("column support index out of range")
-        # Stable sort by row keeps column indices ascending within each row.
-        order = np.argsort(rows_flat, kind="stable")
-        row_indices = col_of_entry[order]
-        row_ptr = np.zeros(r + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows_flat, minlength=r), out=row_ptr[1:])
-        return cls(
-            n=n, r=r, v=v,
-            col_supports=cols,
-            row_indices=row_indices,
-            row_ptr=row_ptr,
-            qc_first_columns=qc_first_columns,
-        )
+        return cls(n=n, r=r, v=v, column_table=cols)
+
+    @classmethod
+    def from_qc_first_columns(cls, first_cols, r: int) -> "SparseParityCheck":
+        """Build a quasi-cyclic code from the first column of each block."""
+        firsts = tuple(np.sort(np.asarray(f, dtype=_INDEX_DTYPE)) for f in first_cols)
+        return cls(n=r * len(firsts), r=r, v=firsts[0].size, qc_first_columns=firsts)
+
+
+@lru_cache(maxsize=16)
+def _wrap_table(r: int, blocks: int) -> np.ndarray:
+    """Entry k*2r + x is (x mod r) + k*r for x in [0, 2r): one lookup wraps
+    a shifted index into block k, with no division."""
+    table = np.arange(2 * r) % r + r * np.arange(blocks)[:, None]
+    table.setflags(write=False)
+    return table.ravel()
+
+
+class CodeIndex:
+    """Index arithmetic over the codes of a group of trials decoded together.
+
+    ``codes`` holds each trial's code: either one code object shared by every
+    trial (any format, ragged rows included) or quasi-cyclic codes of one
+    shape, stacked by their first columns. Quasi-cyclic codes need no table:
+    column k*r + c has checks (S_k + c) mod r, and row j meets the columns
+    (j - S_k) mod r + k*r. Any other code reads its column table and rows.
+    Trial arguments index ``codes``; a shared code ignores them.
+    ``row_length`` is the common row weight, None when rows are ragged.
+    """
+
+    def __init__(self, codes: Sequence[SparseParityCheck]):
+        first = codes[0]
+        self.n, self.r, self.v = first.n, first.r, first.v
+        self._shared = all(H is first for H in codes)
+        self._table = None
+        if self._shared and first.qc_first_columns is None:
+            self._table = first
+            self.row_length = first.w_max if first.is_row_regular else None
+            return
+        group = [first] if self._shared else codes
+        if any(
+            H.qc_first_columns is None or (H.n, H.r, H.v) != (self.n, self.r, self.v)
+            for H in group
+        ):
+            raise ValueError("a group needs one shared code or quasi-cyclic codes of one shape")
+        r = self.r
+        # (codes, blocks, v), in the platform index type so gathers need no cast
+        firsts = np.stack([np.stack(H.qc_first_columns) for H in group]).astype(np.intp)
+        blocks = np.arange(firsts.shape[1])[:, None]
+        self._firsts = firsts
+        self.row_length = firsts[0].size
+        self._wrap = _wrap_table(r, firsts.shape[1])
+        # (S_k + c) mod r = wrap[col_base_k + k*r + c]; (j - S_k) mod r + k*r = wrap[j + row_base_k]
+        self._blocks = firsts.shape[1]
+        self._col_base = (firsts - r * blocks).reshape(-1, self.v)  # row (trial, k)
+        self._row_base = (r - firsts + 2 * r * blocks).reshape(len(group), -1)
+
+    def column_checks(self, trials: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(m, v) checks of column ``cols[i]`` in the code of trial ``trials[i]``
+        (a scalar ``cols`` in a shared code gives the v checks of one column)."""
+        if self._table is not None:
+            return self._table.col_supports[cols]
+        block = cols // self.r if self._shared else cols // self.r + trials * self._blocks
+        return self._wrap[self._col_base[block] + cols[..., None]]
+
+    def row_columns(self, trials: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
+        """Columns meeting each check of ``rows[i]``, an (m, c) array, in the
+        code of trial ``trials[i]``, concatenated in row order, and each
+        row's length (one int when every row has the same length)."""
+        if self._table is None:
+            base = self._row_base[0] if self._shared else self._row_base[trials][:, None, :]
+            return self._wrap[rows[..., None] + base].ravel(), self._row_base.shape[1]
+        H = self._table
+        rows = rows.ravel()
+        if H.is_row_regular:
+            return H.row_matrix[rows].ravel(), H.w_max
+        lengths = H.row_weights[rows]
+        ends = np.cumsum(lengths)
+        total = int(ends[-1]) if ends.size else 0
+        entries = np.repeat(H.row_ptr[rows] - ends + lengths, lengths) + np.arange(total)
+        return H.row_indices[entries], lengths
+
+    def unsatisfied_counts(self, trials: np.ndarray, S: np.ndarray) -> np.ndarray:
+        """(k, n) int16: for each column, how many of its checks are set in
+        row i of the (k, r) syndromes ``S``, row i in the code of trial
+        ``trials[i]``. Quasi-cyclic block k of row i is the sum of its v
+        cyclic shifts of the syndrome by S_k; any other code takes a bincount
+        over the columns of the set checks."""
+        count, r = S.shape
+        if self._table is None:
+            # shifts[i, j] is the syndrome of row i rolled left by j (a view)
+            shifts = np.lib.stride_tricks.sliding_window_view(np.concatenate([S, S], axis=1), r, axis=1)
+            picked = shifts[np.arange(count)[:, None, None], self._firsts[0 if self._shared else trials]]
+            return picked.sum(axis=2, dtype=np.int16).reshape(count, self.n)
+        rows, checks = np.divmod(np.flatnonzero(S), r)
+        cols, lengths = self.row_columns(trials[rows], checks[:, None])
+        pos = np.repeat(rows * self.n, lengths) + cols
+        return np.bincount(pos, minlength=count * self.n).astype(np.int16).reshape(count, self.n)
+
+    def syndromes(self, errors: np.ndarray) -> np.ndarray:
+        """(B, r) syndrome bits of the (B, t) error supports, row b's error
+        in the code of trial b."""
+        count, t = errors.shape
+        trials = np.repeat(np.arange(count), t)
+        checks = self.column_checks(trials, errors.ravel()) + (trials * self.r)[:, None]
+        bits = np.bincount(checks.ravel(), minlength=count * self.r) & 1
+        return bits.astype(np.uint8).reshape(count, self.r)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,34 +359,6 @@ class QcSeedSpec:
             raise ValueError(f"column weight {self.v} must be below circulant size {self.r}")
 
 
-def _expand_qc(first_cols: tuple[np.ndarray, ...], r: int) -> SparseParityCheck:
-    """Expand per-block first-column supports into the full sparse matrix.
-
-    Column i of a block is the cyclic down-shift by i of column 0, so its
-    support is (S + i) mod r. Row j of a block lists, as column indices,
-    (j - S) mod r. Both views are built directly, no transpose pass needed.
-    """
-    v = first_cols[0].size
-    shifts = np.arange(r, dtype=_INDEX_DTYPE)[:, None]
-    col_blocks = []
-    row_blocks = []
-    for b, first in enumerate(first_cols):
-        base = np.asarray(first, dtype=_INDEX_DTYPE)[None, :]
-        col_blocks.append(np.sort((base + shifts) % r, axis=1))
-        row_blocks.append(np.sort((shifts - base) % r, axis=1) + b * r)
-    col_supports = np.ascontiguousarray(np.vstack(col_blocks))
-    row_matrix = np.ascontiguousarray(np.hstack(row_blocks))
-    n = r * len(first_cols)
-    w = v * len(first_cols)
-    return SparseParityCheck(
-        n=n, r=r, v=v,
-        col_supports=col_supports,
-        row_indices=row_matrix.ravel(),
-        row_ptr=np.arange(r + 1, dtype=np.int64) * w,
-        qc_first_columns=tuple(np.asarray(f, dtype=_INDEX_DTYPE) for f in first_cols),
-    )
-
-
 def generate_qc(spec: QcSeedSpec) -> SparseParityCheck:
     """Generate a seeded quasi-cyclic code H = (H1 | H2), n = 2r, w = 2v.
 
@@ -263,7 +371,7 @@ def generate_qc(spec: QcSeedSpec) -> SparseParityCheck:
         sample_distinct(rng, spec.r, spec.v).astype(_INDEX_DTYPE)
         for _ in range(2)
     )
-    return _expand_qc(firsts, spec.r)
+    return SparseParityCheck.from_qc_first_columns(firsts, spec.r)
 
 
 def random_regular_code(n: int, r: int, v: int, w: int, rng: np.random.Generator) -> SparseParityCheck:
@@ -306,11 +414,7 @@ def syndrome(H: SparseParityCheck, e: ErrorPattern) -> Syndrome:
     """s = e * H^T, accumulated column-wise in O(weight * v)."""
     if e.n != H.n:
         raise ValueError(f"error length {e.n} does not match code length {H.n}")
-    bits = np.zeros(H.r, dtype=np.uint8)
-    if e.weight:
-        idx = H.col_supports[e.support].ravel()
-        np.bitwise_xor.at(bits, idx, 1)
-    return Syndrome(bits)
+    return Syndrome(H.index.syndromes(e.support[None, :])[0])
 
 
 def sample_error(n: int, t: int, rng: np.random.Generator) -> ErrorPattern:
@@ -386,7 +490,7 @@ def load_code(path) -> SparseParityCheck:
             np.sort(_parse_index_line(lines[1 + b], 2 + b, v, f"block {b}", r)).astype(_INDEX_DTYPE)
             for b in range(2)
         )
-        return _expand_qc(firsts, r)
+        return SparseParityCheck.from_qc_first_columns(firsts, r)
 
     if len(header) != 3:
         raise CodeFormatError("line 1: header must be 'n r v'")

@@ -13,7 +13,11 @@ Three decoders, one counter definition:
   touching only the v*w counters adjacent to the flipped column. Under the
   same tie-break stream their flip histories are bit-for-bit equal.
 
-``decode`` runs any of them by its name in ``DECODERS``.
+The single-flip loop is ``bfmax_decode_group``: it advances a group of
+trials in lockstep on (B, n) counter and (B, r) syndrome arrays, and a
+single decode is a group of one. Every trial keeps its own tie-break
+generator, so a trial's flip log does not depend on the group it ran in.
+``decode`` runs any decoder by its name in ``DECODERS``.
 
 The counter of position i is the number of unsatisfied parity checks it
 participates in; it always lies in [0, v]. Decoding stops when the working
@@ -28,14 +32,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .codes import ErrorPattern, SparseParityCheck, Syndrome
+from .codes import CodeIndex, ErrorPattern, SparseParityCheck, Syndrome
 from .rng import make_rng
 
 _COUNTER_DTYPE = np.int16
+# Counter move along a flipped check's row: -1 once satisfied, +1 once unsatisfied.
+_STEP = np.array([-1, 1], dtype=_COUNTER_DTYPE)
 
 DECODERS = ("bf", "bfmax-naive", "bfmax-sparse")
 
@@ -79,18 +85,27 @@ class OpCounts:
         )
 
 
-@dataclass
 class DecoderState:
-    """Mutable working state of one decode, exposed to iteration hooks."""
+    """A single-flip decode's working state after an iteration, as an
+    ``on_iteration`` hook sees it: the code ``H``, the working ``syndrome``
+    and ``counters`` (live arrays; copy them to keep them) and the op
+    counts so far (``ops``). Each is read from the decoder only on access."""
 
-    H: SparseParityCheck
-    syndrome: np.ndarray
-    counters: np.ndarray | None
-    estimate: np.ndarray
-    iterations: int
-    flip_log: list[int]
-    ops: OpCounts
-    syndrome_weight: int
+    def __init__(self, H: SparseParityCheck):
+        self.H = H
+        self._now = None  # the group-of-one hook arguments of the last iteration
+
+    @property
+    def syndrome(self) -> np.ndarray:
+        return self._now[1][0]
+
+    @property
+    def counters(self) -> np.ndarray:
+        return self._now[0][0]
+
+    @property
+    def ops(self) -> OpCounts:
+        return self._now[2](0)
 
 
 @dataclass(frozen=True)
@@ -260,56 +275,158 @@ def _bfmax_decode(
     fixed_iterations: bool,
     on_iteration: IterationHook | None,
 ) -> DecodeOutcome:
-    """The single-flip loop. ``incremental`` picks the counter strategy:
-    compute once and update the rows a flip touches, or recompute every
-    iteration. Once the syndrome is zero, a fixed-iteration run keeps
-    iterating on shadow flips: the same scan, draw and index work, booked
-    in the op counts, with no state changed."""
+    """One single-flip decode: a group of one."""
     if s.r != H.r:
         raise ValueError(f"syndrome length {s.r} does not match r={H.r}")
-    if iter_max < 0:
-        raise ValueError("iter_max must be non-negative")
+    hook = None
+    if on_iteration is not None:
+        state = DecoderState(H)
 
-    state = DecoderState(
-        H=H,
-        syndrome=s.bits.copy(),
-        counters=None,
-        estimate=np.zeros(H.n, dtype=np.uint8),
-        iterations=0,
-        flip_log=[],
-        ops=OpCounts(),
-        syndrome_weight=int(s.bits.sum()),
-    )
-    ops = state.ops
-    if incremental:
-        state.counters = _compute_counters(H, state.syndrome, ops)
-    for it in range(1, iter_max + 1):
-        shadow = state.syndrome_weight == 0
-        if shadow and not fixed_iterations:
-            break
-        if not incremental:
-            state.counters = _compute_counters(H, state.syndrome, ops)
-        i_star, _ = argmax_scan(state.counters, rng, ops)
-        checks = H.col_supports[i_star]
-        ops.syndrome_bit_updates += checks.size
-        if incremental:
-            touched, row_lengths = H.row_entries(checks)
-            ops.counter_update_touches += touched.size
-        if not shadow:
-            state.estimate[i_star] ^= 1
-            state.syndrome[checks] ^= 1
-            now_set = state.syndrome[checks]
-            if incremental:
-                d = np.where(now_set == 1, 1, -1).astype(_COUNTER_DTYPE)
-                np.add.at(state.counters, touched, np.repeat(d, row_lengths))
-            state.syndrome_weight += 2 * int(now_set.sum()) - checks.size
-            state.flip_log.append(i_star)
-        state.iterations = it
-        if on_iteration is not None:
+        def hook(*now):
+            state._now = now
             on_iteration(state)
 
-    recovered = _estimate_pattern(state.estimate) if state.syndrome_weight == 0 else None
-    return DecodeOutcome(recovered, state.iterations, tuple(state.flip_log), ops)
+    return bfmax_decode_group(
+        H.index, s.bits[None, :], iter_max, [rng], incremental=incremental,
+        fixed_iterations=fixed_iterations, on_iteration=hook,
+    )[0]
+
+
+def _trial_ops(
+    n: int, v: int, w: int | None, incremental: bool, iterations: int, touches: int
+) -> OpCounts:
+    """Op counts of a trial that ran ``iterations``. Each iteration scans n
+    counters and toggles v syndrome bits; counters cost n*v adds per
+    computation, once (incremental) or every iteration. An incremental
+    iteration touches the counters along the v rows of the flipped column:
+    v*w of them when every row has length w, else ``touches`` tallies them."""
+    computations = 1 if incremental else iterations
+    if incremental and w is not None:
+        touches = v * w * iterations
+    return OpCounts(n * v * computations, n * iterations, v * iterations, touches)
+
+
+def bfmax_decode_group(
+    index: CodeIndex,
+    syndromes: np.ndarray,
+    iter_max: int,
+    rngs: Sequence[np.random.Generator],
+    *,
+    incremental: bool,
+    fixed_iterations: bool = False,
+    on_iteration: Callable[[np.ndarray, np.ndarray, Callable[[int], OpCounts]], None] | None = None,
+) -> list[DecodeOutcome]:
+    """Single-flip decoding of a group of trials in lockstep.
+
+    Row b of the (B, r) ``syndromes`` is decoded in trial b's code of
+    ``index``, breaking ties with ``rngs[b]``; its outcome, flip log and op
+    counts equal those of decoding it alone. ``incremental`` picks the
+    counter strategy: compute once and update the rows a flip touches, or
+    recount every iteration. A trial whose syndrome is zero leaves the
+    group, unless ``fixed_iterations``: then it keeps iterating on shadow
+    flips (the same scan, draw and index work, booked in its op counts,
+    with no state changed). After each iteration ``on_iteration`` gets the
+    (k, n) counters and (k, r) syndromes of the k trials still in the
+    group, in group order, and a function giving row i's op counts so far.
+    """
+    count, r = syndromes.shape
+    if r != index.r:
+        raise ValueError(f"syndrome length {r} does not match r={index.r}")
+    if iter_max < 0:
+        raise ValueError("iter_max must be non-negative")
+    n, v = index.n, index.v
+    w = index.row_length  # None when row lengths differ
+    # State rows: the trials still in the group, with their syndromes,
+    # counters and (ragged codes only) counter-update tallies.
+    trials = np.arange(count)
+    S = syndromes.astype(np.uint8)
+    touches = np.zeros(count, dtype=np.int64)
+    counters = index.unsatisfied_counts(trials, S) if incremental else None
+    # Per group trial, filled in as it leaves.
+    iterations = np.zeros(count, dtype=np.int64)
+    touched = np.zeros(count, dtype=np.int64)
+    flips = []  # per iteration: (trials that flipped, their positions)
+    # where each state row begins in the flattened counters and syndromes
+    starts, syndrome_starts = trials * n, trials[:, None] * r
+    for it in range(1, iter_max + 1):
+        live = S.max(axis=1).view(np.bool_)  # bits are 0/1; max is the quicker reduction
+        all_live = np.count_nonzero(live) == live.size
+        if not all_live and not fixed_iterations:
+            iterations[trials[~live]] = it - 1
+            touched[trials[~live]] = touches[~live]
+            trials, S, touches = trials[live], S[live], touches[live]
+            if incremental:
+                counters = counters[live]
+            live, all_live = live[live], True
+            starts, syndrome_starts = starts[:trials.size], syndrome_starts[:trials.size]
+            if not trials.size:
+                break
+        if not incremental:
+            counters = index.unsatisfied_counts(trials, S)
+        k = trials.size
+
+        # Every maximum of every row, in row order; a row with several draws
+        # one of them from its own stream. A single winner skips the draw:
+        # integers(0, 1) would not move the stream.
+        at = (counters == counters.max(axis=1, keepdims=True)).ravel().nonzero()[0]
+        if k == 1:  # a lone row needs no row boundaries; a scalar pick keeps its flip cheap
+            first = rngs[trials[0]].integers(0, at.size) if at.size > 1 else 0
+            picks, logged = at[first], at[first:first + 1]
+        else:
+            choice, first = [], 0
+            for b, end in zip(trials.tolist(), np.searchsorted(at, starts + n).tolist()):
+                choice.append(first if end - first == 1 else first + rngs[b].integers(0, end - first))
+                first = end
+            picks = logged = at[choice] - starts
+
+        # Flip. Shadow rows toggle nothing, so their updates are zero.
+        checks = index.column_checks(trials, picks)
+        hit = checks.ravel() if k == 1 else (checks + syndrome_starts).ravel()
+        flat = S.reshape(-1)
+        now = flat[hit] ^ (1 if all_live else np.repeat(live.view(np.uint8), v))
+        flat[hit] = now
+        if incremental:
+            d = _STEP[now] if all_live else _STEP[now] * np.repeat(live, v)
+            cols, lengths = index.row_columns(trials, checks)
+            if w is None:
+                per_trial = lengths.reshape(k, v).sum(axis=1)
+                touches += per_trial
+                pos = np.repeat(starts, per_trial) + cols
+            elif k == 1:
+                pos = cols
+            else:
+                pos = (cols.reshape(k, -1) + starts[:, None]).ravel()
+            np.add.at(counters.reshape(-1), pos, d.repeat(lengths))
+        flips.append((trials, logged) if all_live else (trials[live], logged[live]))
+        if on_iteration is not None:
+            on_iteration(counters, S, lambda row: _trial_ops(n, v, w, incremental, it, int(touches[row])))
+    iterations[trials] = iter_max
+    touched[trials] = touches
+
+    success = np.ones(count, dtype=bool)
+    success[trials] = ~S.any(axis=1)
+    ops = [
+        _trial_ops(n, v, w, incremental, it, x)
+        for it, x in zip(iterations.tolist(), touched.tolist())
+    ]
+    return _group_outcomes(n, success, iterations, flips, ops)
+
+
+def _group_outcomes(n, success, iterations, flips, ops) -> list[DecodeOutcome]:
+    logs = [[] for _ in range(success.size)]
+    for flipped, positions in flips:
+        for b, i in zip(flipped.tolist(), positions.tolist()):
+            logs[b].append(i)
+    outcomes = []
+    for b, log in enumerate(logs):
+        estimate = None
+        if success[b]:
+            odd = set()  # positions flipped an odd number of times
+            for i in log:
+                odd ^= {i}
+            estimate = ErrorPattern(n, np.array(sorted(odd), dtype=np.int64))
+        outcomes.append(DecodeOutcome(estimate, int(iterations[b]), tuple(log), ops[b]))
+    return outcomes
 
 
 def decode(
@@ -326,13 +443,23 @@ def decode(
     ``bf`` flips by ``thresholds``; the single-flip decoders break ties
     with a stream seeded from ``tie_seed``.
     """
+    check_decoder(decoder, iter_max, thresholds)
     if decoder == "bf":
         return bf_decode(H, s, BfConfig(iter_max, thresholds))
     if decoder == "bfmax-naive":
         return bfmax_decode_naive(H, s, iter_max, make_rng(tie_seed))
-    if decoder == "bfmax-sparse":
-        return bfmax_decode_sparse(H, s, iter_max, make_rng(tie_seed))
-    raise ValueError(f"unknown decoder {decoder!r}; choose from {DECODERS}")
+    return bfmax_decode_sparse(H, s, iter_max, make_rng(tie_seed))
+
+
+def check_decoder(decoder: str, iter_max: int, thresholds: tuple[int, ...] | None) -> None:
+    """The one rule for a decoder name and its thresholds: ``bf`` needs one
+    threshold per iteration, the single-flip decoders take none."""
+    if decoder not in DECODERS:
+        raise ValueError(f"unknown decoder {decoder!r}; choose from {DECODERS}")
+    if decoder == "bf":
+        BfConfig(iter_max, thresholds)  # raises if they do not fit
+    elif thresholds is not None:
+        raise ValueError(f"{decoder} decoder takes no thresholds")
 
 
 def predicted_op_count(H: SparseParityCheck, iter_max: int) -> float:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from bfkit.codes import ErrorPattern, SparseParityCheck
-from bfkit.decoders import bfmax_decode_sparse
+from bfkit.decoders import OpCounts, argmax_scan, bfmax_decode_group
 from bfkit.dfr import CounterDistribution
 
 
@@ -182,12 +182,55 @@ def recompute_counters(H: SparseParityCheck, s_bits: np.ndarray) -> np.ndarray:
     return s_bits[H.col_supports].sum(axis=1, dtype=np.int64)
 
 
-def faulty_sparse_decode(H, s, iter_max, rng, **kwargs):
-    """Deliberately broken sparse decoder for negative-control runs: burns
-    one tie-break draw, desynchronizing it from the reference decoder.
-    Tests monkeypatch it over ``bfkit.simulate.bfmax_decode_sparse``."""
-    rng.integers(0, 2)
-    return bfmax_decode_sparse(H, s, iter_max, rng, **kwargs)
+def faulty_sparse_group(index, syndromes, iter_max, rngs, *, incremental, **kwargs):
+    """Deliberately broken group decoder for negative-control runs: the
+    sparse side burns one tie-break draw per trial, desynchronizing it from
+    the naive side. Tests monkeypatch it over
+    ``bfkit.simulate.bfmax_decode_group``."""
+    if incremental:
+        for rng in rngs:
+            rng.integers(0, 2)
+    return bfmax_decode_group(index, syndromes, iter_max, rngs, incremental=incremental, **kwargs)
+
+
+def bfmax_reference(H: SparseParityCheck, s_bits: np.ndarray, iter_max: int, rng, *,
+                    incremental: bool, fixed_iterations: bool = False):
+    """The single-flip decoder one trial at a time, written from the
+    definition: ``argmax_scan`` picks each flip, and the counters are either
+    recounted from the column table every iteration or updated along the
+    CSR rows of the flipped column's checks. Shadow iterations of a
+    fixed-iteration run scan, draw and book their work without flipping.
+
+    Returns (success, iterations, flip_log, OpCounts).
+    """
+    ops = OpCounts()
+    syn = s_bits.astype(np.uint8).copy()
+    counters = None
+    if incremental:
+        counters = syn[H.col_supports].sum(axis=1, dtype=np.int64)
+        ops.counter_init_adds += H.n * H.v
+    flips: list[int] = []
+    iterations = 0
+    for it in range(1, iter_max + 1):
+        shadow = not syn.any()
+        if shadow and not fixed_iterations:
+            break
+        if not incremental:
+            counters = syn[H.col_supports].sum(axis=1, dtype=np.int64)
+            ops.counter_init_adds += H.n * H.v
+        i_star, _ = argmax_scan(counters, rng, ops)
+        checks = H.col_supports[i_star]
+        ops.syndrome_bit_updates += checks.size
+        if incremental:
+            ops.counter_update_touches += sum(H.row_support(int(j)).size for j in checks)
+        if not shadow:
+            syn[checks] ^= 1
+            if incremental:
+                for j in checks:
+                    counters[H.row_support(int(j))] += 1 if syn[j] else -1
+            flips.append(i_star)
+        iterations = it
+    return not syn.any(), iterations, flips, ops
 
 
 def all_weight_patterns(n: int, t: int):

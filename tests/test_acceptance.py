@@ -2,7 +2,8 @@
 
 Each test prints one `[PASS]`/`[FAIL]` line (visible under `pytest -s`).
 The theory-vs-simulation criterion runs a few hundred thousand Monte Carlo
-trials and takes several minutes; everything else finishes in seconds.
+trials and takes about a minute and a half on two cores; everything else
+finishes in seconds.
 """
 
 import math

@@ -6,7 +6,7 @@ import pytest
 from bfkit.cli import SIM_CSV_COLUMNS, main
 from bfkit.codes import generate_qc, load_code
 
-from helpers import faulty_sparse_decode
+from helpers import faulty_sparse_group
 
 
 def run_cli(*argv):
@@ -210,6 +210,10 @@ def test_simulate_usage_error(tmp_path, capsys):
     bad.write_text("2 3 2\n0 1\n0 a\n")
     assert run_cli("simulate", "--code", bad, "--t", 1) == 1
     assert "line 3" in capsys.readouterr().err
+    out = tmp_path / "sim.csv"
+    assert run_cli("simulate", "--r", 13, "--v", 3, "--t", 40, "--out", out) == 1
+    assert "t=40 exceeds code length 26" in capsys.readouterr().err
+    assert not out.exists()  # a rejected plan creates no output file
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-4"])
@@ -346,6 +350,24 @@ def test_decode_output_is_pinned(decoder, toy_file, capsys):
     assert capsys.readouterr().out == _PINNED_DECODES[decoder]
 
 
+@pytest.mark.parametrize("decoder", ["bfmax-naive", "bfmax-sparse"])
+def test_decode_bfmax_rejects_thresholds(decoder, toy_file, capsys):
+    assert run_cli(
+        "decode", "--code", toy_file, "--error-support", "1",
+        "--decoder", decoder, "--iter-max", 2, "--thresholds", "2",
+    ) == 1
+    assert capsys.readouterr().err == f"decode: error: {decoder} decoder takes no thresholds\n"
+
+
+def test_simulate_bfmax_rejects_thresholds(tmp_path, capsys):
+    out = tmp_path / "th.csv"
+    assert run_cli(
+        "simulate", "--r", 13, "--v", 3, "--t", 2, "--thresholds", 2, "--out", out,
+    ) == 1
+    assert capsys.readouterr().err == "simulate: error: bfmax-sparse decoder takes no thresholds\n"
+    assert not out.exists()
+
+
 def test_decode_bf_with_thresholds(toy_file, capsys):
     assert run_cli(
         "decode", "--code", toy_file, "--error-support", "3",
@@ -374,7 +396,7 @@ def test_compare_clean_toy_campaign(tmp_path, capsys):
 
 def test_compare_fault_injection_negative_control(monkeypatch, capsys):
     # one worker keeps the campaign in this process, where the patch applies
-    monkeypatch.setattr("bfkit.simulate.bfmax_decode_sparse", faulty_sparse_decode)
+    monkeypatch.setattr("bfkit.simulate.bfmax_decode_group", faulty_sparse_group)
     code = run_cli(
         "compare", "--r", 13, "--v", 3, "--t", 3,
         "--trials", 400, "--opcount-trials", 50, "--seed", 3, "--workers", 1,
@@ -405,10 +427,12 @@ def test_compare_builds_profile_key_once(monkeypatch):
         (["--r", 13, "--v", 3, "--t", 40], "t=40 exceeds code length 26"),
     ],
 )
-def test_compare_rejects_bad_parameters(params, message, capsys):
-    assert run_cli("compare", *params, "--trials", 10, "--opcount-trials", 10) == 1
+def test_compare_rejects_bad_parameters(params, message, capsys, tmp_path):
+    out = tmp_path / "ops.csv"
+    assert run_cli("compare", *params, "--trials", 10, "--opcount-trials", 10, "--out", out) == 1
     err = capsys.readouterr().err
     assert f"compare: error: {message}" in err
+    assert not out.exists()  # a rejected plan creates no output file
 
 
 def test_compare_output_is_pinned(tmp_path, monkeypatch, capsys):
@@ -460,7 +484,13 @@ def test_compare_output_is_pinned(tmp_path, monkeypatch, capsys):
     ],
     ids=lambda argv: argv[0],
 )
-def test_out_into_missing_directory_exits_one(argv, tmp_path, capsys):
+def test_out_into_missing_directory_exits_one(argv, tmp_path, capsys, monkeypatch):
+    # the path is checked before the campaign: no trial may run
+    def no_campaign(plan):
+        raise AssertionError("campaign ran before --out was checked")
+
+    monkeypatch.setattr("bfkit.cli.run_sim", no_campaign)
+    monkeypatch.setattr("bfkit.cli.differential_campaign", no_campaign)
     assert run_cli(*argv, "--out", tmp_path / "missing" / "out.csv") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"{argv[0]}: error: [Errno 2] No such file or directory")

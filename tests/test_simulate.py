@@ -15,7 +15,7 @@ from bfkit.simulate import (
     run_sim,
 )
 
-from helpers import faulty_sparse_decode, toy_code_from_columns
+from helpers import faulty_sparse_group, toy_code_from_columns
 
 
 def toy_plan(**overrides):
@@ -151,6 +151,9 @@ def test_plan_validation():
         toy_plan(t=-1)
     with pytest.raises(ValueError):
         toy_plan(decoder="bf")  # thresholds missing
+    for decoder in ("bfmax-naive", "bfmax-sparse"):
+        with pytest.raises(ValueError, match=f"^{decoder} decoder takes no thresholds$"):
+            toy_plan(decoder=decoder, thresholds=(2, 2))
     with pytest.raises(ValueError):
         run_sim(toy_plan(t=100))  # exceeds code length
 
@@ -172,6 +175,16 @@ def test_clopper_pearson_brackets_point():
     for k, n in [(1, 10), (5, 100), (100, 10_000), (3, 3)]:
         lo, hi = clopper_pearson(k, n)
         assert 0.0 <= lo <= k / n <= hi <= 1.0
+
+
+def test_clopper_pearson_equals_beta_quantiles():
+    # the interval is the textbook pair of beta quantiles, bit for bit
+    from scipy.stats import beta
+
+    for k, n in [(1, 10), (5, 100), (100, 10_000), (3, 3), (0, 7), (339, 30_000), (100, 20_205)]:
+        lo = 0.0 if k == 0 else float(beta.ppf(0.025, k, n - k + 1))
+        hi = 1.0 if k == n else float(beta.ppf(0.975, k + 1, n - k))
+        assert clopper_pearson(k, n) == (lo, hi)
 
 
 def test_clopper_pearson_validation():
@@ -214,7 +227,7 @@ def test_differential_campaign_spot_check_at_large_scale():
 
 
 def test_differential_campaign_detects_injected_fault(monkeypatch):
-    monkeypatch.setattr("bfkit.simulate.bfmax_decode_sparse", faulty_sparse_decode)
+    monkeypatch.setattr("bfkit.simulate.bfmax_decode_group", faulty_sparse_group)
     report = differential_campaign(toy_plan(t=3, max_trials=400))
     assert not report.clean
     miss = report.mismatches[0]
