@@ -59,12 +59,11 @@ def sample_distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
         raise ValueError(f"cannot sample {k} distinct values from {n}")
     if k == 0:
         return np.empty(0, dtype=np.int64)
+    pool = np.arange(n, dtype=np.int64)
     draws = rng.integers(low=np.arange(k), high=n)
-    # The pool is virtual: ``moved`` holds only the slots a swap changed.
-    moved: dict[int, int] = {}
-    out = []
-    for i, j in enumerate(draws.tolist()):
-        out.append(moved.get(j, j))
-        moved[j] = moved.get(i, i)
+    for i in range(k):
+        j = draws[i]
+        pool[i], pool[j] = pool[j], pool[i]
+    out = pool[:k]
     out.sort()
-    return np.array(out, dtype=np.int64)
+    return out

@@ -80,6 +80,27 @@ def test_group_syndromes_equal_one_by_one(kind):
         np.testing.assert_array_equal(bits, syndrome(H, e).bits)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_code_index_matches_tables(kind):
+    # group column i*n + c is column c of code i; row i of a row argument is
+    # in code i; select keeps the chosen codes in order
+    codes, _ = _codes(kind)
+    index = CodeIndex(codes)
+    keep = np.array([5, 0, 17])
+    for idx, chosen in ((index, codes), (index.select(keep), [codes[i] for i in keep])):
+        n = idx.n
+        for i, H in enumerate(chosen):
+            for c in (0, 1, n - 1):
+                checks = idx.column_checks(np.int64(i * n + c))
+                assert sorted(checks.tolist()) == H.col_supports[c].tolist()
+        rows = np.array([[j % H.r for j in range(3)] for H in chosen])
+        cols, lengths = idx.row_columns(rows)
+        expected = [H.row_support(int(j)).tolist() for H, row in zip(chosen, rows) for j in row]
+        lengths = np.broadcast_to(lengths, len(expected)).tolist()
+        got = np.split(cols, np.cumsum(lengths)[:-1])
+        assert [sorted(g.tolist()) for g in got] == expected
+
+
 def test_group_rejects_mixed_codes():
     qc = generate_qc(QcSeedSpec(13, 3, 1))
     with pytest.raises(ValueError):
