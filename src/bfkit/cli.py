@@ -3,10 +3,11 @@
 Every file-producing subcommand writes a JSON manifest next to its output
 (``<out>.manifest.json``) holding the subcommand, the full parameter set
 and the tool version; re-running those parameters reproduces the output
-byte for byte. Exit codes: 0 success, 1 usage or parameter error or an
-unreadable input or unwritable output, 2 differential mismatch or
-validation failure. Subcommands raise ValueError/OSError; ``main`` alone
-reports them as ``<subcommand>: error: <message>``.
+byte for byte. Exit codes: 0 success, 1 usage or parameter error, an
+unreadable input or unwritable output, or a worker process that died,
+2 differential mismatch or validation failure. Subcommands raise
+ValueError/OSError (a dead worker surfaces as ``BrokenExecutor``); ``main``
+alone reports them as ``<subcommand>: error: <message>``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from .codes import (
     Syndrome,
     generate_qc,
     load_code,
+    read_utf8,
     save_code,
     syndrome,
 )
@@ -261,10 +264,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _read_syndrome_file(path, r: int) -> Syndrome:
-    text = Path(path).read_text(encoding="utf-8")
-    chars = [c for c in text if not c.isspace()]
-    if any(c not in "01" for c in chars):
-        raise ValueError("syndrome file must contain only 0/1 characters")
+    chars = []
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
+        for token in line.split():
+            if token.strip("01"):
+                raise ValueError(f"line {lineno}: syndrome file must contain only 0/1 characters")
+            chars += token
     if len(chars) != r:
         raise ValueError(f"syndrome length {len(chars)} does not match r={r}")
     return Syndrome(np.array([int(c) for c in chars], dtype=np.uint8))
@@ -441,7 +446,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BrokenExecutor) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,7 @@ _MAX_SWAPS = 100_000
 
 
 class CodeFormatError(ValueError):
-    """Raised when a code file cannot be parsed; message names the line."""
+    """Raised when a code or syndrome file cannot be parsed; message names the line."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,13 +134,6 @@ class SparseParityCheck:
         return bool((weights == weights[0]).all())
 
     @cached_property
-    def row_matrix(self) -> np.ndarray:
-        """(r, w) row-support matrix; only defined for row-regular codes."""
-        if not self.is_row_regular:
-            raise ValueError("row supports are ragged; use row_support(j)")
-        return self.row_indices.reshape(self.r, self.w_max)
-
-    @cached_property
     def index(self) -> "CodeIndex":
         """The ``CodeIndex`` of this code alone, built on first use."""
         return CodeIndex([self])
@@ -237,19 +230,17 @@ class CodeIndex:
         integer array), a trailing axis of v. Group column i*n + c is
         column c of code i, as in a group's flattened (k, n) counters."""
         if self._table is not None:
-            return self._table.col_supports[cols % self.n]
+            return self._table.column_table[cols % self.n]
         return self._wrap[self._col_base[cols // self.r] + cols[..., None]]
 
     def row_columns(self, rows: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
         """Columns meeting each check of the (k, m) ``rows``, concatenated in
-        row order, and each row's length (one int when every row has the
-        same length)."""
+        row order, and each row's length (one int for quasi-cyclic codes,
+        whose rows all have the same length)."""
         if self._table is None:
             return self._wrap[rows[..., None] + self._row_base[:, None, :]].ravel(), self.row_length
         H = self._table
         rows = rows.ravel()
-        if H.is_row_regular:
-            return H.row_matrix[rows].ravel(), H.w_max
         lengths = H.row_weights[rows]
         ends = np.cumsum(lengths)
         total = int(ends[-1]) if ends.size else 0
@@ -445,6 +436,18 @@ def sample_error(n: int, t: int, rng: np.random.Generator) -> ErrorPattern:
 # order (``load_code`` sorts it); ``save_code`` writes them ascending.
 
 
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; a file that is not UTF-8 raises a
+    ``CodeFormatError`` naming the line of the first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bad byte sits on the last line of the valid prefix plus one char.
+        lineno = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise CodeFormatError(f"line {lineno}: not valid UTF-8") from None
+
+
 def _parse_index_line(line: str, lineno: int, expected: int, label: str, limit: int) -> np.ndarray:
     tokens = line.split()
     try:
@@ -472,14 +475,7 @@ def _reject_trailing(lines: list[str], start: int, after: str) -> None:
 
 def load_code(path) -> SparseParityCheck:
     """Parse a code file (full or QC compact format); see module docstring."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # The bad byte sits on the last line of the valid prefix plus one char.
-        lineno = len((data[:exc.start].decode("utf-8") + "?").splitlines())
-        raise CodeFormatError(f"line {lineno}: not valid UTF-8") from None
-    lines = text.splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines or not lines[0].split():
         raise CodeFormatError("line 1: empty header")
     header = lines[0].split()

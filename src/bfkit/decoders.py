@@ -2,22 +2,24 @@
 
 Three decoders, one counter definition:
 
-* ``bf_decode``: classic out-of-place bit flipping. Each iteration computes
-  all counters once, flips every position whose counter reaches the
+* ``bf``: classic out-of-place bit flipping. Each iteration computes all
+  counters once, flips every position whose counter reaches the
   iteration's threshold, and only then starts the next iteration.
-* ``bfmax_decode_naive`` and ``bfmax_decode_sparse``: single-flip decoding,
-  one bit per iteration (a position of maximum counter, ties broken
-  uniformly at random). Both run the same loop and differ only in the
-  counter strategy: naive recomputes all counters every iteration (the
+* ``bfmax-naive`` and ``bfmax-sparse``: single-flip decoding, one bit per
+  iteration (a position of maximum counter, ties broken uniformly at
+  random). Both run the same loop and differ only in the counter
+  strategy: naive recomputes all counters every iteration (the
   reference), sparse computes them once and then updates incrementally,
   touching only the v*w counters adjacent to the flipped column. Under the
   same tie-break stream their flip histories are bit-for-bit equal.
 
-The single-flip loop is ``bfmax_decode_group``: it advances a group of
-trials in lockstep on (B, n) counter and (B, r) syndrome arrays, and a
-single decode is a group of one. Every trial keeps its own tie-break
-generator, so a trial's flip log does not depend on the group it ran in.
-``decode`` runs any decoder by its name in ``DECODERS``.
+Every decoder advances a group of trials in lockstep on (B, n) counter and
+(B, r) syndrome arrays over a ``CodeIndex``, and a single decode is a group
+of one. ``decode_group`` is the one place that runs a decoder by its name
+in ``DECODERS``; ``decode``, ``bf_decode``, ``bfmax_decode_naive`` and
+``bfmax_decode_sparse`` are its groups of one. A single-flip trial keeps its
+own tie-break generator, so its flip log does not depend on the group it
+ran in.
 
 The counter of position i is the number of unsatisfied parity checks it
 participates in; it always lies in [0, v]. Decoding stops when the working
@@ -149,12 +151,6 @@ class DecodeOutcome:
 IterationHook = Callable[[DecoderState], None]
 
 
-def _compute_counters(H: SparseParityCheck, s: np.ndarray, ops: OpCounts) -> np.ndarray:
-    counters = s[H.col_supports].sum(axis=1, dtype=_COUNTER_DTYPE)
-    ops.counter_init_adds += H.n * H.v
-    return counters
-
-
 def argmax_scan(
     counters: np.ndarray, rng: np.random.Generator, ops: OpCounts | None = None
 ) -> tuple[int, int]:
@@ -183,37 +179,47 @@ def bf_decode(H: SparseParityCheck, s: Syndrome, cfg: BfConfig) -> DecodeOutcome
     recomputed until the next iteration. Runs while the syndrome is nonzero
     and iterations remain; succeeds iff the final syndrome is zero.
     """
-    if s.r != H.r:
-        raise ValueError(f"syndrome length {s.r} does not match r={H.r}")
-    if any(b > H.v for b in cfg.thresholds):
-        raise ValueError(f"threshold exceeds column weight v={H.v}")
-    floor = math.ceil(H.v / 2)
-    if any(b < floor for b in cfg.thresholds):
-        warnings.warn(
-            f"threshold below ceil(v/2)={floor} invites oscillation", stacklevel=2
-        )
+    return _bf_group(H.index, s.bits[None, :], cfg.thresholds)[0]
 
-    work = s.bits.copy()
-    estimate = np.zeros(H.n, dtype=np.uint8)
-    ops = OpCounts()
-    flips: list[int] = []
-    weight = int(work.sum())
-    it = 1
-    while weight != 0 and it <= cfg.iter_max:
-        counters = _compute_counters(H, work, ops)
-        to_flip = np.flatnonzero(counters >= cfg.thresholds[it - 1])
-        ops.argmax_comparisons += H.n
-        if to_flip.size:
-            estimate[to_flip] ^= 1
-            touched = H.col_supports[to_flip].ravel()
-            np.bitwise_xor.at(work, touched, 1)
-            ops.syndrome_bit_updates += touched.size
-            flips.extend(int(i) for i in to_flip)
-            weight = int(work.sum())
-        it += 1
 
-    recovered = _estimate_pattern(estimate) if weight == 0 else None
-    return DecodeOutcome(recovered, it - 1, tuple(flips), ops)
+def _bf_group(index: CodeIndex, syndromes: np.ndarray, thresholds: Sequence[int]) -> list[DecodeOutcome]:
+    """Out-of-place bit flipping of a group of trials in lockstep: row b of
+    the (B, r) ``syndromes`` in trial b's code of ``index``, one iteration
+    per threshold. An iteration's flips are logged in position order."""
+    count, r = syndromes.shape
+    if r != index.r:
+        raise ValueError(f"syndrome length {r} does not match r={index.r}")
+    n, v = index.n, index.v
+    if any(b > v for b in thresholds):
+        raise ValueError(f"threshold exceeds column weight v={v}")
+    floor = math.ceil(v / 2)
+    if any(b < floor for b in thresholds):
+        warnings.warn(f"threshold below ceil(v/2)={floor} invites oscillation", stacklevel=3)
+    trials = np.arange(count)
+    S = syndromes.astype(np.uint8)
+    iterations = np.full(count, len(thresholds), dtype=np.int64)
+    flips = []  # per iteration: (trials that flipped, their positions)
+    for it, threshold in enumerate(thresholds):
+        live = S.any(axis=1)
+        if not live.all():
+            iterations[trials[~live]] = it
+            trials, S = trials[live], S[live]
+            if not trials.size:
+                break
+            index = index.select(live)
+        rows, cols = np.nonzero(index.unsatisfied_counts(S) >= threshold)
+        checks = index.column_checks(rows * n + cols) + (rows * r)[:, None]
+        # a check changes parity when an odd number of flipped columns meet it
+        toggles = np.bincount(checks.ravel(), minlength=S.size) & 1
+        S ^= toggles.astype(np.uint8).reshape(S.shape)
+        flips.append((trials[rows], cols))
+    success = np.ones(count, dtype=bool)
+    success[trials] = ~S.any(axis=1)
+    # an iteration counts n*v adds and n comparisons; a flip toggles v checks
+    return _group_outcomes(
+        n, success, iterations, flips,
+        lambda b, log: OpCounts(n * v * int(iterations[b]), n * int(iterations[b]), v * len(log)),
+    )
 
 
 def _estimate_pattern(estimate: np.ndarray) -> ErrorPattern:
@@ -226,20 +232,10 @@ def bfmax_decode_naive(
     iter_max: int,
     rng: np.random.Generator,
     *,
-    fixed_iterations: bool = False,
     on_iteration: IterationHook | None = None,
 ) -> DecodeOutcome:
-    """Single-flip decoding, recomputing all counters every iteration.
-
-    With ``fixed_iterations`` the loop always runs ``iter_max`` iterations;
-    once the syndrome is zero the remaining iterations perform the same
-    counter scan and draw from the tie-break stream but discard the flip,
-    so the operation profile is independent of when decoding converged.
-    """
-    return _bfmax_decode(
-        H, s, iter_max, rng, incremental=False,
-        fixed_iterations=fixed_iterations, on_iteration=on_iteration,
-    )
+    """Single-flip decoding, recomputing all counters every iteration."""
+    return _bfmax_decode(H, s, iter_max, rng, incremental=False, on_iteration=on_iteration)
 
 
 def bfmax_decode_sparse(
@@ -248,7 +244,6 @@ def bfmax_decode_sparse(
     iter_max: int,
     rng: np.random.Generator,
     *,
-    fixed_iterations: bool = False,
     on_iteration: IterationHook | None = None,
 ) -> DecodeOutcome:
     """Single-flip decoding with incremental counter maintenance.
@@ -259,10 +254,7 @@ def bfmax_decode_sparse(
     became satisfied, else d = +1. Produces the same outcome and flip
     history as ``bfmax_decode_naive`` for the same tie-break stream.
     """
-    return _bfmax_decode(
-        H, s, iter_max, rng, incremental=True,
-        fixed_iterations=fixed_iterations, on_iteration=on_iteration,
-    )
+    return _bfmax_decode(H, s, iter_max, rng, incremental=True, on_iteration=on_iteration)
 
 
 def _bfmax_decode(
@@ -272,12 +264,9 @@ def _bfmax_decode(
     rng: np.random.Generator,
     *,
     incremental: bool,
-    fixed_iterations: bool,
     on_iteration: IterationHook | None,
 ) -> DecodeOutcome:
     """One single-flip decode: a group of one."""
-    if s.r != H.r:
-        raise ValueError(f"syndrome length {s.r} does not match r={H.r}")
     hook = None
     if on_iteration is not None:
         state = DecoderState(H)
@@ -287,8 +276,7 @@ def _bfmax_decode(
             on_iteration(state)
 
     return bfmax_decode_group(
-        H.index, s.bits[None, :], iter_max, [rng], incremental=incremental,
-        fixed_iterations=fixed_iterations, on_iteration=hook,
+        H.index, s.bits[None, :], iter_max, [rng], incremental=incremental, on_iteration=hook,
     )[0]
 
 
@@ -313,7 +301,6 @@ def bfmax_decode_group(
     rngs: Sequence[np.random.Generator],
     *,
     incremental: bool,
-    fixed_iterations: bool = False,
     on_iteration: Callable[[np.ndarray, np.ndarray, Callable[[int], OpCounts]], None] | None = None,
 ) -> list[DecodeOutcome]:
     """Single-flip decoding of a group of trials in lockstep.
@@ -323,9 +310,7 @@ def bfmax_decode_group(
     counts equal those of decoding it alone. ``incremental`` picks the
     counter strategy: compute once and update the rows a flip touches, or
     recount every iteration. A trial whose syndrome is zero leaves the
-    group, unless ``fixed_iterations``: then it keeps iterating on shadow
-    flips (the same scan, draw and index work, booked in its op counts,
-    with no state changed). After each iteration ``on_iteration`` gets the
+    group. After each iteration ``on_iteration`` gets the
     (k, n) counters and (k, r) syndromes of the k trials still in the
     group, in group order, and a function giving row i's op counts so far.
     """
@@ -350,8 +335,7 @@ def bfmax_decode_group(
     starts, syndrome_starts = trials * n, trials[:, None] * r
     for it in range(1, iter_max + 1):
         live = S.max(axis=1).view(np.bool_)  # bits are 0/1; max is the quicker reduction
-        all_live = np.count_nonzero(live) == live.size
-        if not all_live and not fixed_iterations:
+        if np.count_nonzero(live) < live.size:
             iterations[trials[~live]] = it - 1
             touched[trials[~live]] = touches[~live]
             trials, S, touches = trials[live], S[live], touches[live]
@@ -360,7 +344,6 @@ def bfmax_decode_group(
             index = index.select(live)
             if incremental:
                 counters = counters[live]
-            live, all_live = live[live], True
             starts, syndrome_starts = starts[:trials.size], syndrome_starts[:trials.size]
         if not incremental:
             counters = index.unsatisfied_counts(S)
@@ -385,14 +368,10 @@ def bfmax_decode_group(
             flipped = at[choice]
             picks = flipped - starts
 
-        # Flip. Shadow rows toggle nothing, so their updates are zero; while
-        # every row is live (always, unless fixed_iterations) the zero mask
-        # is skipped, which saves a single decode about 13%.
         checks = index.column_checks(flipped)
         hit = checks.ravel() if k == 1 else (checks + syndrome_starts).ravel()
-        toggle = 1 if all_live else np.repeat(live.view(np.uint8), v)
         flat = S.reshape(-1)
-        now = flat[hit] ^ toggle
+        now = flat[hit] ^ 1
         flat[hit] = now
         if incremental:
             cols, lengths = index.row_columns(checks)
@@ -404,9 +383,8 @@ def bfmax_decode_group(
                 pos = cols
             else:
                 pos = (cols.reshape(k, -1) + starts[:, None]).ravel()
-            d = _STEP[now] if all_live else _STEP[now] * toggle
-            np.add.at(counters.reshape(-1), pos, d.repeat(lengths))
-        flips.append((trials, picks) if all_live else (trials[live], picks[live]))
+            np.add.at(counters.reshape(-1), pos, _STEP[now].repeat(lengths))
+        flips.append((trials, picks))
         if on_iteration is not None:
             on_iteration(counters, S, lambda row: _trial_ops(n, v, w, incremental, it, int(touches[row])))
     iterations[trials] = iter_max
@@ -414,14 +392,15 @@ def bfmax_decode_group(
 
     success = np.ones(count, dtype=bool)
     success[trials] = ~S.any(axis=1)
-    ops = [
-        _trial_ops(n, v, w, incremental, it, x)
-        for it, x in zip(iterations.tolist(), touched.tolist())
-    ]
-    return _group_outcomes(n, success, iterations, flips, ops)
+    return _group_outcomes(
+        n, success, iterations, flips,
+        lambda b, log: _trial_ops(n, v, w, incremental, int(iterations[b]), int(touched[b])),
+    )
 
 
 def _group_outcomes(n, success, iterations, flips, ops) -> list[DecodeOutcome]:
+    """Each trial's outcome from the per-iteration ``flips``; ``ops(b, log)``
+    gives trial b's op counts from its flip log."""
     logs = [[] for _ in range(success.size)]
     for flipped, positions in flips:
         for b, i in zip(flipped.tolist(), positions.tolist()):
@@ -430,8 +409,32 @@ def _group_outcomes(n, success, iterations, flips, ops) -> list[DecodeOutcome]:
     for b, log in enumerate(logs):
         # a position flipped an odd number of times is in the estimate
         estimate = _estimate_pattern(np.bincount(log, minlength=n) & 1) if success[b] else None
-        outcomes.append(DecodeOutcome(estimate, int(iterations[b]), tuple(log), ops[b]))
+        outcomes.append(DecodeOutcome(estimate, int(iterations[b]), tuple(log), ops(b, log)))
     return outcomes
+
+
+def decode_group(
+    decoder: str,
+    index: CodeIndex,
+    syndromes: np.ndarray,
+    iter_max: int,
+    *,
+    thresholds: tuple[int, ...] | None = None,
+    tie_seeds: Sequence[int],
+) -> list[DecodeOutcome]:
+    """Run the decoder named ``decoder`` (one of ``DECODERS``) on a group:
+    row b of the (B, r) ``syndromes`` in trial b's code of ``index``.
+
+    ``bf`` flips by ``thresholds``; the single-flip decoders break trial b's
+    ties with a stream seeded from ``tie_seeds[b]``.
+    """
+    check_decoder(decoder, iter_max, thresholds)
+    if decoder == "bf":
+        return _bf_group(index, syndromes, thresholds)
+    rngs = [make_rng(seed) for seed in tie_seeds]
+    return bfmax_decode_group(
+        index, syndromes, iter_max, rngs, incremental=decoder == "bfmax-sparse"
+    )
 
 
 def decode(
@@ -443,17 +446,10 @@ def decode(
     thresholds: tuple[int, ...] | None = None,
     tie_seed: int = 0,
 ) -> DecodeOutcome:
-    """Run the decoder named ``decoder`` (one of ``DECODERS``).
-
-    ``bf`` flips by ``thresholds``; the single-flip decoders break ties
-    with a stream seeded from ``tie_seed``.
-    """
-    check_decoder(decoder, iter_max, thresholds)
-    if decoder == "bf":
-        return bf_decode(H, s, BfConfig(iter_max, thresholds))
-    if decoder == "bfmax-naive":
-        return bfmax_decode_naive(H, s, iter_max, make_rng(tie_seed))
-    return bfmax_decode_sparse(H, s, iter_max, make_rng(tie_seed))
+    """``decode_group`` on one syndrome: a group of one."""
+    return decode_group(
+        decoder, H.index, s.bits[None, :], iter_max, thresholds=thresholds, tie_seeds=[tie_seed]
+    )[0]
 
 
 def check_decoder(decoder: str, iter_max: int, thresholds: tuple[int, ...] | None) -> None:

@@ -13,9 +13,10 @@ quasi-cyclic key, built on first use. A fresh source has no shared code
 (``code`` is None) and builds each trial's quasi-cyclic key from that
 trial's key stream (``key``). Every trial, in ``run_sim`` and in the
 naive-vs-sparse differential campaign alike, is set up by the same
-(code, error, tie-break seed) step. A chunk's single-flip trials are
-decoded in lockstep groups of ``_GROUP``; each keeps its own tie-break
-stream, so group and chunk boundaries cannot move a result.
+(code, error, tie-break seed) step. A chunk's trials are decoded in
+lockstep groups of ``_GROUP`` by ``decode_group``; a single-flip trial
+keeps its own tie-break stream, so group and chunk boundaries cannot move
+a result.
 
 A trial counts as a failure unless the decoder reports success AND the
 recovered pattern equals the sampled error; successful decodes of the
@@ -45,22 +46,14 @@ from .codes import (
     generate_qc,
     load_code,
     sample_error,
-    syndrome,
 )
-from .decoders import (
-    DecodeOutcome,
-    OpCounts,
-    bfmax_decode_group,
-    check_decoder,
-    decode,
-    predicted_op_count,
-)
+from .decoders import DecodeOutcome, OpCounts, check_decoder, decode_group, predicted_op_count
 from .rng import STREAM_ERROR, STREAM_KEY, STREAM_TIEBREAK, child_seed, make_rng
 
 SEED_SCHEME = "splitmix64-v1"
 
-# Trials a single-flip chunk decodes in lockstep. It bounds a group's
-# (B, n) counter state, so memory does not grow with the chunk size.
+# Trials a chunk decodes in lockstep. It bounds a group's (B, n) counter
+# state, so memory does not grow with the chunk size.
 _GROUP = 32
 
 
@@ -263,11 +256,6 @@ def _group_inputs(plan: SimPlan, lo: int, hi: int):
     return index, errors, index.syndromes(np.stack([e.support for e in errors])), seeds
 
 
-def _decode_group(plan: SimPlan, index: CodeIndex, S, seeds, *, incremental: bool):
-    rngs = [make_rng(seed) for seed in seeds]
-    return bfmax_decode_group(index, S, plan.effective_iter_max, rngs, incremental=incremental)
-
-
 def _record(outcome: DecodeOutcome, e: ErrorPattern):
     exact = outcome.success and outcome.error_estimate == e
     ops = outcome.op_counts
@@ -283,19 +271,12 @@ def _record(outcome: DecodeOutcome, e: ErrorPattern):
 
 
 def _run_chunk(plan: SimPlan, lo: int, hi: int):
-    if plan.decoder == "bf":
-        records = []
-        for i in range(lo, hi):
-            H, e, _ = _trial_inputs(plan, i)
-            outcome = decode(
-                "bf", H, syndrome(H, e), plan.effective_iter_max, thresholds=plan.thresholds
-            )
-            records.append(_record(outcome, e))
-        return records
     records = []
     for g_lo, g_hi in _groups(lo, hi):
         index, errors, S, seeds = _group_inputs(plan, g_lo, g_hi)
-        outcomes = _decode_group(plan, index, S, seeds, incremental=plan.decoder == "bfmax-sparse")
+        outcomes = decode_group(
+            plan.decoder, index, S, plan.effective_iter_max, thresholds=plan.thresholds, tie_seeds=seeds
+        )
         records += map(_record, outcomes, errors)
     return records
 
@@ -415,8 +396,8 @@ def _run_diff_chunk(plan: SimPlan, lo: int, hi: int):
     mismatches = []
     for g_lo, g_hi in _groups(lo, hi):
         index, _, S, seeds = _group_inputs(plan, g_lo, g_hi)
-        naive = _decode_group(plan, index, S, seeds, incremental=False)
-        sparse = _decode_group(plan, index, S, seeds, incremental=True)
+        naive = decode_group("bfmax-naive", index, S, plan.effective_iter_max, tie_seeds=seeds)
+        sparse = decode_group("bfmax-sparse", index, S, plan.effective_iter_max, tie_seeds=seeds)
         for i, (a, b, seed) in enumerate(zip(naive, sparse, seeds)):
             if a.success != b.success or a.flip_log != b.flip_log:
                 mismatches.append(

@@ -37,8 +37,9 @@ def toy_code_from_columns(cols, r) -> SparseParityCheck:
 def bf_decode_dense_reference(D: np.ndarray, s_bits: np.ndarray, thresholds, iter_max):
     """Dense-matrix out-of-place bit flipping, written from the definition.
 
-    Returns (success, estimate_dense, flip_log). Counters come from a full
-    matrix product each iteration; flips use the iteration-start counters.
+    Returns (success, estimate_dense, flip_log, iterations). Counters come
+    from a full matrix product each iteration; flips use the iteration-start
+    counters.
     """
     r, n = D.shape
     s = s_bits.astype(np.int64).copy()
@@ -53,7 +54,7 @@ def bf_decode_dense_reference(D: np.ndarray, s_bits: np.ndarray, thresholds, ite
             s = (s + D[:, i]) % 2
             flips.append(i)
         it += 1
-    return not s.any(), est, flips
+    return not s.any(), est, flips, it - 1
 
 
 def enumerate_rho(n: int, w: int, u: int) -> tuple[Fraction | None, Fraction]:
@@ -186,7 +187,7 @@ def faulty_sparse_group(index, syndromes, iter_max, rngs, *, incremental, **kwar
     """Deliberately broken group decoder for negative-control runs: the
     sparse side burns one tie-break draw per trial, desynchronizing it from
     the naive side. Tests monkeypatch it over
-    ``bfkit.simulate.bfmax_decode_group``."""
+    ``bfkit.decoders.bfmax_decode_group``."""
     if incremental:
         for rng in rngs:
             rng.integers(0, 2)
@@ -194,12 +195,11 @@ def faulty_sparse_group(index, syndromes, iter_max, rngs, *, incremental, **kwar
 
 
 def bfmax_reference(H: SparseParityCheck, s_bits: np.ndarray, iter_max: int, rng, *,
-                    incremental: bool, fixed_iterations: bool = False):
+                    incremental: bool):
     """The single-flip decoder one trial at a time, written from the
     definition: ``argmax_scan`` picks each flip, and the counters are either
     recounted from the column table every iteration or updated along the
-    CSR rows of the flipped column's checks. Shadow iterations of a
-    fixed-iteration run scan, draw and book their work without flipping.
+    CSR rows of the flipped column's checks.
 
     Returns (success, iterations, flip_log, OpCounts).
     """
@@ -212,8 +212,7 @@ def bfmax_reference(H: SparseParityCheck, s_bits: np.ndarray, iter_max: int, rng
     flips: list[int] = []
     iterations = 0
     for it in range(1, iter_max + 1):
-        shadow = not syn.any()
-        if shadow and not fixed_iterations:
+        if not syn.any():
             break
         if not incremental:
             counters = syn[H.col_supports].sum(axis=1, dtype=np.int64)
@@ -223,12 +222,11 @@ def bfmax_reference(H: SparseParityCheck, s_bits: np.ndarray, iter_max: int, rng
         ops.syndrome_bit_updates += checks.size
         if incremental:
             ops.counter_update_touches += sum(H.row_support(int(j)).size for j in checks)
-        if not shadow:
-            syn[checks] ^= 1
-            if incremental:
-                for j in checks:
-                    counters[H.row_support(int(j))] += 1 if syn[j] else -1
-            flips.append(i_star)
+        syn[checks] ^= 1
+        if incremental:
+            for j in checks:
+                counters[H.row_support(int(j))] += 1 if syn[j] else -1
+        flips.append(i_star)
         iterations = it
     return not syn.any(), iterations, flips, ops
 

@@ -1,9 +1,14 @@
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bfkit.cli import SIM_CSV_COLUMNS, main
+from bfkit import simulate
+from bfkit.cli import SIM_CSV_COLUMNS, _read_syndrome_file, main
 from bfkit.codes import generate_qc, load_code
 
 from helpers import faulty_sparse_group
@@ -11,6 +16,29 @@ from helpers import faulty_sparse_group
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+# Chunk runners whose worker dies on every chunk but the first. They are
+# module-level so a pool can pickle them; a forked worker finds them here.
+_RUN_CHUNK, _RUN_DIFF_CHUNK = simulate._run_chunk, simulate._run_diff_chunk
+
+
+def _run_chunk_or_die(plan, lo, hi):
+    if lo > 0:
+        os._exit(1)
+    return _RUN_CHUNK(plan, lo, hi)
+
+
+def _run_diff_chunk_or_die(plan, lo, hi):
+    if lo > 0:
+        os._exit(1)
+    return _RUN_DIFF_CHUNK(plan, lo, hi)
+
+
+_needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched chunk runner reaches workers only when they are forked",
+)
 
 
 # -- gen ------------------------------------------------------------------------
@@ -307,6 +335,55 @@ def test_decode_errors_exit_one(toy_file, tmp_path, capsys):
     assert "decode: error: line 2: not valid UTF-8" in capsys.readouterr().err
 
 
+def test_decode_syndrome_file_errors_name_the_line(toy_file, tmp_path, capsys):
+    syn = tmp_path / "syn.txt"
+    for data, message in (
+        (b"0101\n01 2 0\n", "line 2: syndrome file must contain only 0/1 characters"),
+        (b"0101\n\n01\xff0\n", "line 3: not valid UTF-8"),
+    ):
+        syn.write_bytes(data)
+        assert run_cli(
+            "decode", "--code", toy_file, "--syndrome-file", syn, "--iter-max", 1,
+        ) == 1
+        assert capsys.readouterr().err == f"decode: error: {message}\n"
+
+
+_SYNDROME_TEXT = st.text(st.sampled_from("0000111 \t\n\r\x0b2a\u00a0\u2028"), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _SYNDROME_TEXT.map(lambda text: text.encode("utf-8")),
+    st.tuples(_SYNDROME_TEXT, st.binary(max_size=3), _SYNDROME_TEXT).map(
+        lambda parts: parts[0].encode("utf-8") + parts[1] + parts[2].encode("utf-8")
+    ),
+))
+def test_read_syndrome_file_fuzz(tmp_path_factory, data):
+    # any bytes give the syndrome they spell or a ValueError naming the line
+    path = tmp_path_factory.mktemp("fuzz") / "syn.txt"
+    path.write_bytes(data)
+    r = 6
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        expected = f"line {lineno}: not valid UTF-8"
+    else:
+        bad = [k for k, line in enumerate(text.splitlines(), 1)
+               if any(c not in "01" and not c.isspace() for c in line)]
+        bits = [int(c) for c in text if c in "01"]
+        if bad:
+            expected = f"line {bad[0]}: syndrome file must contain only 0/1 characters"
+        elif len(bits) != r:
+            expected = f"syndrome length {len(bits)} does not match r={r}"
+        else:
+            assert _read_syndrome_file(path, r).bits.tolist() == bits
+            return
+    with pytest.raises(ValueError) as exc_info:
+        _read_syndrome_file(path, r)
+    assert str(exc_info.value) == expected
+
+
 def test_decode_bf_requires_thresholds(toy_file, capsys):
     assert run_cli(
         "decode", "--code", toy_file, "--error-support", "1",
@@ -396,7 +473,7 @@ def test_compare_clean_toy_campaign(tmp_path, capsys):
 
 def test_compare_fault_injection_negative_control(monkeypatch, capsys):
     # one worker keeps the campaign in this process, where the patch applies
-    monkeypatch.setattr("bfkit.simulate.bfmax_decode_group", faulty_sparse_group)
+    monkeypatch.setattr("bfkit.decoders.bfmax_decode_group", faulty_sparse_group)
     code = run_cli(
         "compare", "--r", 13, "--v", 3, "--t", 3,
         "--trials", 400, "--opcount-trials", 50, "--seed", 3, "--workers", 1,
@@ -404,6 +481,25 @@ def test_compare_fault_injection_negative_control(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "mismatch" in captured.err
+
+
+@_needs_fork
+@pytest.mark.parametrize(
+    "argv, runner, dying",
+    [
+        (("simulate", "--r", 13, "--v", 3, "--t", 2, "--max-trials", 40),
+         "_run_chunk", _run_chunk_or_die),
+        (("compare", "--trials", 40, "--opcount-trials", 10),
+         "_run_diff_chunk", _run_diff_chunk_or_die),
+    ],
+    ids=["simulate", "compare"],
+)
+def test_dead_worker_exits_one(argv, runner, dying, monkeypatch, capsys):
+    monkeypatch.setattr(simulate, runner, dying)
+    assert run_cli(*argv, "--chunk-size", 10, "--workers", 2) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_compare_builds_profile_key_once(monkeypatch):

@@ -1,15 +1,25 @@
-"""Lockstep single-flip decoding: a group of trials equals the same trials
-decoded one by one, whatever the code format and however trials are grouped."""
+"""Lockstep decoding: a group of trials equals the same trials decoded one
+by one, for every decoder, whatever the code format and however trials are
+grouped."""
 
 import numpy as np
 import pytest
 
 from bfkit.codes import CodeIndex, QcSeedSpec, generate_qc, random_regular_code, sample_error, syndrome
-from bfkit.decoders import bfmax_decode_group, bfmax_decode_naive, bfmax_decode_sparse
+from bfkit.decoders import (
+    DECODERS,
+    BfConfig,
+    OpCounts,
+    bf_decode,
+    bfmax_decode_naive,
+    bfmax_decode_sparse,
+    decode,
+    decode_group,
+)
 from bfkit.rng import make_rng
 from bfkit.simulate import FreshQcSource, SimPlan, run_sim
 
-from helpers import bfmax_reference, toy_code_from_columns
+from helpers import bf_decode_dense_reference, bfmax_reference, dense_matrix, toy_code_from_columns
 
 TRIALS = 24
 KINDS = ["fresh-qc", "shared-qc", "random-regular", "ragged"]
@@ -37,36 +47,46 @@ def test_integers_zero_one_leaves_stream_untouched():
         assert drawn.bit_generator.state == untouched.bit_generator.state
 
 
-@pytest.mark.parametrize("fixed_iterations", [False, True], ids=["stop", "fixed"])
-@pytest.mark.parametrize("incremental", [False, True], ids=["naive", "sparse"])
+@pytest.mark.filterwarnings("ignore:threshold below")
+@pytest.mark.parametrize("decoder", DECODERS)
 @pytest.mark.parametrize("kind", KINDS)
-def test_group_equals_one_by_one(kind, incremental, fixed_iterations):
+def test_group_equals_one_by_one(kind, decoder):
     codes, t = _codes(kind)
-    rng = make_rng(4 * KINDS.index(kind) + 2 * incremental + fixed_iterations)
+    rng = make_rng(3 * KINDS.index(kind) + DECODERS.index(decoder))
     # weights up to t + 2 make some trials fail and others stop early
     errors = [sample_error(H.n, int(rng.integers(0, t + 3)), rng) for H in codes]
     iter_max = t + 2
     seeds = [int(x) for x in rng.integers(0, 2**63, TRIALS)]
-    index = CodeIndex(codes)
+    thresholds = None
+    if decoder == "bf":
+        thresholds = tuple(rng.integers(1, codes[0].v + 1, iter_max).tolist())
     S = np.stack([syndrome(H, e).bits for H, e in zip(codes, errors)])
-    group = bfmax_decode_group(
-        index, S, iter_max, [make_rng(s) for s in seeds],
-        incremental=incremental, fixed_iterations=fixed_iterations,
+    group = decode_group(
+        decoder, CodeIndex(codes), S, iter_max, thresholds=thresholds, tie_seeds=seeds
     )
-    single = bfmax_decode_sparse if incremental else bfmax_decode_naive
     for H, e, seed, out in zip(codes, errors, seeds, group):
-        alone = single(H, syndrome(H, e), iter_max, make_rng(seed), fixed_iterations=fixed_iterations)
+        s = syndrome(H, e)
+        if decoder == "bf":
+            alone = bf_decode(H, s, BfConfig(iter_max, thresholds))
+            ok, estimate, flips, iterations = bf_decode_dense_reference(
+                dense_matrix(H), s.bits, thresholds, iter_max
+            )
+            assert out.op_counts == OpCounts(H.n * H.v * iterations, H.n * iterations, H.v * len(flips))
+            if ok:
+                np.testing.assert_array_equal(out.error_estimate.to_dense(), estimate)
+        else:
+            incremental = decoder == "bfmax-sparse"
+            single = bfmax_decode_sparse if incremental else bfmax_decode_naive
+            alone = single(H, s, iter_max, make_rng(seed))
+            ok, iterations, flips, ops = bfmax_reference(
+                H, s.bits, iter_max, make_rng(seed), incremental=incremental
+            )
+            assert out.op_counts == ops
+        assert (out.success, out.iterations_used, list(out.flip_log)) == (ok, iterations, flips)
         assert (out.success, out.iterations_used, out.flip_log, out.op_counts) == (
             alone.success, alone.iterations_used, alone.flip_log, alone.op_counts
         )
         assert out.error_estimate == alone.error_estimate
-        ok, iterations, flips, ops = bfmax_reference(
-            H, syndrome(H, e).bits, iter_max, make_rng(seed),
-            incremental=incremental, fixed_iterations=fixed_iterations,
-        )
-        assert (out.success, out.iterations_used, list(out.flip_log), out.op_counts) == (
-            ok, iterations, flips, ops
-        )
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -114,6 +134,8 @@ def test_qc_tables_are_built_on_first_use():
     e = sample_error(H.n, 8, make_rng(1))
     bfmax_decode_sparse(H, syndrome(H, e), 8, make_rng(2))
     bfmax_decode_naive(H, syndrome(H, e), 8, make_rng(2))
+    bf_decode(H, syndrome(H, e), BfConfig.constant(8, 3))
+    decode("bf", H, syndrome(H, e), 8, thresholds=(3,) * 8)
     assert (H.w_max, H.is_row_regular) == (10, True)
     assert "col_supports" not in vars(H) and "_row_csr" not in vars(H)
     for b, first in enumerate(H.qc_first_columns):
@@ -122,13 +144,14 @@ def test_qc_tables_are_built_on_first_use():
             assert H.col_supports[b * 149 + c].tolist() == expected
 
 
-@pytest.mark.parametrize("decoder", ["bfmax-naive", "bfmax-sparse"])
+@pytest.mark.parametrize("decoder", DECODERS)
 def test_report_independent_of_chunks_groups_and_workers(decoder):
     # 90 trials span whole and partial lockstep groups at every chunk size
+    thresholds = (3,) * 8 if decoder == "bf" else None
     reports = [
         run_sim(SimPlan(
-            source=FreshQcSource(149, 5), t=8, decoder=decoder, max_trials=90,
-            master_seed=31, chunk_size=chunk, worker_count=workers,
+            source=FreshQcSource(149, 5), t=8, decoder=decoder, thresholds=thresholds,
+            max_trials=90, master_seed=31, chunk_size=chunk, worker_count=workers,
         )).deterministic_fields()
         for chunk in (1, 7, 512)
         for workers in (1, 2)

@@ -227,7 +227,7 @@ def test_differential_campaign_spot_check_at_large_scale():
 
 
 def test_differential_campaign_detects_injected_fault(monkeypatch):
-    monkeypatch.setattr("bfkit.simulate.bfmax_decode_group", faulty_sparse_group)
+    monkeypatch.setattr("bfkit.decoders.bfmax_decode_group", faulty_sparse_group)
     report = differential_campaign(toy_plan(t=3, max_trials=400))
     assert not report.clean
     miss = report.mismatches[0]
