@@ -33,7 +33,7 @@ from .codes import (
     syndrome,
 )
 from .decoders import DECODERS, decode
-from .dfr import predict_dfr
+from .dfr import predict_dfr, predict_sweep
 from .simulate import (
     FileCodeSource,
     FreshQcSource,
@@ -140,16 +140,15 @@ def _cmd_predict(args) -> int:
     mode = "exact" if args.exact else "fast"
     rows = []
     json_objs = []
-    for t in range(args.t_min, args.t_max + 1):
-        pred = predict_dfr(n, args.r, args.v, w, t, mode=mode, dps=args.dps)
+    for pred in predict_sweep(n, args.r, args.v, w, args.t_min, args.t_max, mode=mode, dps=args.dps):
         if args.json:
             obj = pred.to_json_dict()
             obj["format_version"] = FORMAT_VERSION
             json_objs.append(obj)
         else:
-            q_max = float(pred.per_iteration_failure.max()) if t > 0 else 0.0
+            q_max = float(pred.per_iteration_failure.max()) if pred.t > 0 else 0.0
             rows.append(
-                f"{n},{args.r},{args.v},{w},{t},{_fmt(q_max)},"
+                f"{n},{args.r},{args.v},{w},{pred.t},{_fmt(q_max)},"
                 f"{_fmt(pred.dfr_linear)},{_fmt(pred.log2_dfr)},{pred.mode},{FORMAT_VERSION}"
             )
     if args.json:
@@ -276,16 +275,16 @@ def _read_syndrome_file(path, r: int) -> Syndrome:
 
 
 def _cmd_decode(args) -> int:
+    if (args.error_support is None) == (args.syndrome_file is None):
+        raise ValueError("give exactly one of --error-support or --syndrome-file")
     H = load_code(args.code)
     true_error = None
     if args.error_support is not None:
         support = [int(tok) for tok in args.error_support.split(",") if tok.strip()]
         true_error = ErrorPattern.from_support(H.n, support)
         s = syndrome(H, true_error)
-    elif args.syndrome_file is not None:
-        s = _read_syndrome_file(args.syndrome_file, H.r)
     else:
-        raise ValueError("provide --error-support or --syndrome-file")
+        s = _read_syndrome_file(args.syndrome_file, H.r)
 
     outcome = decode(
         args.decoder, H, s, args.iter_max,

@@ -13,8 +13,10 @@ iteration flips an error position, so the failure rate is
 1 - prod_{u=1..t} (1 - q_u). Ties between the two maxima are counted as
 failures, making the prediction a slight overestimate by construction.
 
-``predict_dfr`` builds, for each u, the two rho values (``rho``), the
-counter pmfs (``counter_pmfs``) and log q_u (``log_iteration_failure``).
+``predict_sweep`` builds, once for each u up to the largest t, the two rho
+values (``rho``), the counter pmfs (``counter_pmfs``) and log q_u
+(``log_iteration_failure``), and reads every t of the sweep off the prefix
+q_1..q_t; ``predict_dfr`` is a sweep of one t.
 Only log-domain quantities are kept: log pmfs from log-gamma binomials,
 the log cdf by a running ``logaddexp``, and the mass above each counter
 value for cdf powers near 1 (via log1p); the product over u is assembled
@@ -42,12 +44,6 @@ _NEG_INF = float("-inf")
 _LOG_TINY_SWITCH = math.log(1e-15)
 
 
-def _log_comb(a: int, b: int) -> float:
-    if b < 0 or b > a or a < 0:
-        return _NEG_INF
-    return float(gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1))
-
-
 def rho(n: int, w: int, u: int, *, exact: bool = False):
     """Per-check unsatisfied probabilities (rho1, rho0) at residual weight u.
 
@@ -72,25 +68,32 @@ def rho(n: int, w: int, u: int, *, exact: bool = False):
         num0 = sum(
             math.comb(u, l) * math.comb(n - 1 - u, w - 1 - l)
             for l in range(1, min(w - 1, u) + 1, 2)
+            if w - 1 - l <= n - 1 - u
         )
         return rho1, Fraction(num0, denom)
 
-    log_denom = _log_comb(n - 1, w - 1)
-    rho1 = None
-    if u >= 1:
-        terms = [
-            _log_comb(u - 1, l) + _log_comb(n - u, w - 1 - l) - log_denom
-            for l in range(0, min(w - 1, u - 1) + 1, 2)
-        ]
-        terms = [t for t in terms if t != _NEG_INF]
-        rho1 = float(min(1.0, math.exp(logsumexp(terms)))) if terms else 0.0
-    terms = [
-        _log_comb(u, l) + _log_comb(n - 1 - u, w - 1 - l) - log_denom
-        for l in range(1, min(w - 1, u) + 1, 2)
-    ]
-    terms = [t for t in terms if t != _NEG_INF]
-    rho0 = float(min(1.0, math.exp(logsumexp(terms)))) if terms else 0.0
-    return rho1, rho0
+    log_denom = float(gammaln(n) - gammaln(w) - gammaln(n - w + 1))  # log C(n-1, w-1)
+    rho1 = _class_rho(u - 1, n - u, w, 0, log_denom) if u >= 1 else None
+    return rho1, _class_rho(u, n - 1 - u, w, 1, log_denom)
+
+
+def _class_rho(a: int, b: int, w: int, first: int, log_denom: float) -> float:
+    """sum of C(a, l) * C(b, w-1-l) / C(n-1, w-1) over l = first, first+2, ...
+
+    Evaluated in the log domain, one log-gamma array per factor; terms with
+    w-1-l outside [0, b] are zero and left out.
+    """
+    l = np.arange(first, min(w - 1, a) + 1, 2)
+    k = w - 1 - l
+    l, k = l[k <= b], k[k <= b]
+    if not l.size:
+        return 0.0
+    terms = (
+        (gammaln(a + 1) - gammaln(l + 1) - gammaln(a - l + 1))
+        + (gammaln(b + 1) - gammaln(k + 1) - gammaln(b - k + 1))
+        - log_denom
+    )
+    return float(min(1.0, math.exp(logsumexp(terms))))
 
 
 def _log_binom_pmf(v: int, p: float) -> np.ndarray:
@@ -261,66 +264,90 @@ def _assemble(log_qs: list[float]) -> tuple[float, float]:
     return dfr, log_dfr
 
 
-def predict_dfr(n: int, r: int, v: int, w: int, t: int, *, mode: str = "fast", dps: int = 60) -> DfrPrediction:
-    """Failure rate of single-flip decoding with iteration budget t.
+def predict_sweep(
+    n: int, r: int, v: int, w: int, t_min: int, t_max: int, *, mode: str = "fast", dps: int = 60
+) -> list[DfrPrediction]:
+    """Failure rates of single-flip decoding for t = t_min..t_max, budget t.
 
     The product runs over residual weights u = 1..t; iteration number and
     residual weight are interchangeable because every successful iteration
-    removes exactly one error. ``mode`` selects the log-domain float path
-    ("fast") or the mpmath cross-check ("exact") with ``dps`` digits.
+    removes exactly one error. So q_u does not depend on t: it is computed
+    once for u = 1..t_max and every t reads the prefix q_1..q_t. ``mode``
+    selects the log-domain float path ("fast") or the mpmath cross-check
+    ("exact") with ``dps`` digits.
     """
     _check_regular_profile(n, r, v, w)
-    if not 0 <= t <= n:
-        raise ValueError(f"error weight {t} out of range for length {n}")
+    for t in (t_min, t_max):
+        if not 0 <= t <= n:
+            raise ValueError(f"error weight {t} out of range for length {n}")
+    if t_max < t_min:
+        raise ValueError(f"empty range: t_max {t_max} < t_min {t_min}")
     if mode == "exact":
-        return _predict_dfr_mp(n, r, v, w, t, dps)
+        return _predict_sweep_mp(n, r, v, w, t_min, t_max, dps)
     if mode != "fast":
         raise ValueError(f"unknown mode {mode!r}")
 
     log_qs = []
-    for u in range(1, t + 1):
+    for u in range(1, t_max + 1):
         r1, r0 = rho(n, w, u)
         dist = counter_pmfs(v, r1, r0)
         log_qs.append(log_iteration_failure(n, v, u, dist))
-    dfr, log_dfr = _assemble(log_qs)
-    qs = np.exp(log_qs) if log_qs else np.empty(0)
-    return DfrPrediction(n, r, v, w, t, qs, dfr, log_dfr, "fast")
+    preds = []
+    for t in range(t_min, t_max + 1):
+        dfr, log_dfr = _assemble(log_qs[:t])
+        qs = np.exp(log_qs[:t]) if t else np.empty(0)
+        preds.append(DfrPrediction(n, r, v, w, t, qs, dfr, log_dfr, "fast"))
+    return preds
 
 
-def _predict_dfr_mp(n: int, r: int, v: int, w: int, t: int, dps: int) -> DfrPrediction:
+def predict_dfr(n: int, r: int, v: int, w: int, t: int, *, mode: str = "fast", dps: int = 60) -> DfrPrediction:
+    """Failure rate at one error weight t: a sweep of one point."""
+    return predict_sweep(n, r, v, w, t, t, mode=mode, dps=dps)[0]
+
+
+def _predict_sweep_mp(n: int, r: int, v: int, w: int, t_min: int, t_max: int, dps: int) -> list[DfrPrediction]:
     """Same formulas evaluated naively under mpmath with ``dps`` digits.
 
     Exact-rational evaluation is out of reach (the cdf powers raise
     4000-bit rationals to exponents near n), so the oracle uses
     arbitrary-precision floating point with generous guard digits instead.
     """
-    mp = mpmath.mp
-    with mp.workdps(dps):
+    with mpmath.mp.workdps(dps):
         one = mpmath.mpf(1)
         qs = []
         success = one
-        for u in range(1, t + 1):
-            r1_frac, r0_frac = rho(n, w, u, exact=True)
-            r1 = mpmath.mpf(r1_frac.numerator) / r1_frac.denominator
-            r0 = mpmath.mpf(r0_frac.numerator) / r0_frac.denominator
-            g1 = [mpmath.binomial(v, x) * r1**x * (one - r1) ** (v - x) for x in range(v + 1)]
-            g0 = [mpmath.binomial(v, x) * r0**x * (one - r0) ** (v - x) for x in range(v + 1)]
-            cum1 = _mp_cumsum(g1)
-            cum0 = _mp_cumsum(g0)
-            m = n - u
-            q = mpmath.mpf(0)
-            prev = mpmath.mpf(0)
-            for x in range(v + 1):
-                cur = cum0[x] ** m
-                f0 = cur - prev
-                q += f0 * cum1[x] ** u
-                prev = cur
-            qs.append(q)
-            success *= one - q
-        dfr = one - success if t > 0 else mpmath.mpf(0)
-        log_dfr = float(mpmath.log(dfr)) if dfr > 0 else _NEG_INF
-        qs_f = np.array([float(q) for q in qs]) if qs else np.empty(0)
-        return DfrPrediction(n, r, v, w, t, qs_f, float(dfr), log_dfr, "exact")
+        preds = []
+        for t in range(t_max + 1):
+            if t > 0:
+                qs.append(_mp_iteration_failure(n, v, w, t))
+                success *= one - qs[-1]
+            if t >= t_min:
+                dfr = one - success
+                log_dfr = float(mpmath.log(dfr)) if dfr > 0 else _NEG_INF
+                qs_f = np.array([float(q) for q in qs]) if qs else np.empty(0)
+                preds.append(DfrPrediction(n, r, v, w, t, qs_f, float(dfr), log_dfr, "exact"))
+        return preds
+
+
+def _mp_iteration_failure(n: int, v: int, w: int, u: int):
+    """q_u under the current mpmath precision, from the exact rho."""
+    one = mpmath.mpf(1)
+    r1_frac, r0_frac = rho(n, w, u, exact=True)
+    r1 = mpmath.mpf(r1_frac.numerator) / r1_frac.denominator
+    r0 = mpmath.mpf(r0_frac.numerator) / r0_frac.denominator
+    g1 = [mpmath.binomial(v, x) * r1**x * (one - r1) ** (v - x) for x in range(v + 1)]
+    g0 = [mpmath.binomial(v, x) * r0**x * (one - r0) ** (v - x) for x in range(v + 1)]
+    cum1 = _mp_cumsum(g1)
+    cum0 = _mp_cumsum(g0)
+    m = n - u
+    q = mpmath.mpf(0)
+    prev = mpmath.mpf(0)
+    for x in range(v + 1):
+        cur = cum0[x] ** m
+        f0 = cur - prev
+        q += f0 * cum1[x] ** u
+        prev = cur
+    return q
 
 
 def _mp_cumsum(values):

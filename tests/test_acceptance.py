@@ -22,7 +22,7 @@ from bfkit.codes import (
     syndrome,
 )
 from bfkit.decoders import OpCounts, bfmax_decode_naive, bfmax_decode_sparse, predicted_op_count
-from bfkit.dfr import counter_pmfs, predict_dfr, rho
+from bfkit.dfr import counter_pmfs, predict_dfr, predict_sweep, rho
 from bfkit.rng import make_rng
 from bfkit.simulate import (
     FreshQcSource,
@@ -51,11 +51,11 @@ def test_theory_vs_simulation_alignment():
     all_ok = True
     details = []
     for v in (11, 13):
-        eligible = []
-        for t in range(1, 100):
-            pred = predict_dfr(4006, 2003, v, 2 * v, t)
-            if 1e-4 <= pred.dfr_linear <= 1e-2:
-                eligible.append((t, pred.dfr_linear))
+        eligible = [
+            (pred.t, pred.dfr_linear)
+            for pred in predict_sweep(4006, 2003, v, 2 * v, 1, 99)
+            if 1e-4 <= pred.dfr_linear <= 1e-2
+        ]
         chosen = sorted(eligible, key=lambda x: -x[1])[:5]
         assert len(chosen) == 5
         hits = 0

@@ -1,12 +1,16 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bfkit
 from bfkit import simulate
 from bfkit.cli import SIM_CSV_COLUMNS, _read_syndrome_file, main
 from bfkit.codes import generate_qc, load_code
@@ -93,6 +97,58 @@ def test_predict_output_is_pinned(capsys):
     )
     assert run_cli("predict", "--r", 2003, "--v", 13, "--t-min", 30, "--t-max", 34) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_predict_full_reference_sweep(capsys):
+    # the committed benchmark reference: all 31 rows, byte for byte
+    expected = Path(__file__).resolve().parents[1] / "bench" / "expected" / "predict-sweep.csv"
+    assert run_cli("predict", "--r", 2003, "--v", 13, "--t-min", 30, "--t-max", 60) == 0
+    assert capsys.readouterr().out == expected.read_text(encoding="utf-8")
+
+
+def test_predict_json_and_exact_are_pinned(capsys):
+    assert run_cli("predict", "--r", 13, "--v", 3, "--t-min", 0, "--t-max", 3, "--json") == 0
+    assert capsys.readouterr().out == (
+        '{"dfr": 0.0, "format_version": "1", "log2_dfr": -Infinity, "n": 26, "q": [], '
+        '"r": 13, "t": 0, "v": 3, "w": 6}\n'
+        '{"dfr": 0.18192748112836207, "format_version": "1", "log2_dfr": -2.4585646085608714, '
+        '"n": 26, "q": [0.18192748112836207], "r": 13, "t": 1, "v": 3, "w": 6}\n'
+        '{"dfr": 0.7479229073558663, "format_version": "1", "log2_dfr": -0.4190385238483562, '
+        '"n": 26, "q": [0.18192748112836207, 0.6918646124529131], "r": 13, "t": 2, "v": 3, "w": 6}\n'
+        '{"dfr": 0.9710677534859468, "format_version": "1", "log2_dfr": -0.04235613579483275, '
+        '"n": 26, "q": [0.18192748112836207, 0.6918646124529131, 0.8852246104135376], '
+        '"r": 13, "t": 3, "v": 3, "w": 6}\n'
+    )
+    assert run_cli("predict", "--r", 250, "--v", 9, "--t-min", 5, "--t-max", 8, "--exact") == 0
+    assert capsys.readouterr().out == (
+        "n,r,v,w,t,q_max,dfr,log2_dfr,mode,format_version\n"
+        "500,250,9,18,5,0.000235040759685,0.000282859393149,-11.787627299,exact,1\n"
+        "500,250,9,18,6,0.000941697337685,0.0012242903629,-9.67383852448,exact,1\n"
+        "500,250,9,18,7,0.00298108128741,0.00420172194121,-7.89480359321,exact,1\n"
+        "500,250,9,18,8,0.00784118504881,0.0120099605108,-6.37962478236,exact,1\n"
+    )
+
+
+def test_predict_weight_beyond_length_exits_one(capsys):
+    assert run_cli("predict", "--r", 13, "--v", 3, "--t-min", 25, "--t-max", 27) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "predict: error: error weight 27 out of range for length 26\n"
+
+
+def test_python_m_bfkit_runs_the_cli():
+    src = str(Path(bfkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bfkit", "predict", "--r", "13", "--v", "3",
+         "--t-min", "0", "--t-max", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "n,r,v,w,t,q_max,dfr,log2_dfr,mode,format_version"
+    assert len(proc.stdout.splitlines()) == 4
 
 
 def test_predict_zero_weight_row(capsys):
@@ -333,6 +389,18 @@ def test_decode_errors_exit_one(toy_file, tmp_path, capsys):
         "--decoder", "bfmax-sparse", "--iter-max", 1,
     ) == 1
     assert "decode: error: line 2: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_decode_takes_exactly_one_input(toy_file, tmp_path, capsys):
+    syn = tmp_path / "syn.txt"
+    syn.write_text("0" * 13)
+    for inputs in (("--error-support", "3", "--syndrome-file", syn), ()):
+        assert run_cli("decode", "--code", toy_file, *inputs, "--iter-max", 2) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "decode: error: give exactly one of --error-support or --syndrome-file\n"
+        )
 
 
 def test_decode_syndrome_file_errors_name_the_line(toy_file, tmp_path, capsys):

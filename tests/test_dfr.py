@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bfkit import dfr
 from bfkit.codes import ErrorPattern, random_regular_code, sample_error, syndrome
-from bfkit.dfr import counter_pmfs, log_iteration_failure, predict_dfr, rho
+from bfkit.dfr import counter_pmfs, log_iteration_failure, predict_dfr, predict_sweep, rho
 from bfkit.rng import make_rng
 
 from helpers import (
@@ -58,7 +59,10 @@ def test_rho_matches_exhaustive_enumeration(n, w):
 
 
 def test_rho_fast_tracks_exact():
-    for n, w, u in [(50, 10, 7), (301, 14, 33), (4006, 26, 60)]:
+    # every u on small codes reaches the ends of both sums (w-1-l = n-u)
+    cases = [(50, 10, 7), (301, 14, 33), (4006, 26, 60)]
+    cases += [(n, w, u) for n, w in [(16, 6), (9, 9), (40, 39)] for u in range(1, n + 1)]
+    for n, w, u in cases:
         r1e, r0e = rho(n, w, u, exact=True)
         r1f, r0f = rho(n, w, u)
         assert r1f == pytest.approx(float(r1e), rel=1e-9)
@@ -295,3 +299,62 @@ def test_json_payload_shape():
     obj = p.to_json_dict()
     assert set(obj) == {"n", "r", "v", "w", "t", "q", "dfr", "log2_dfr"}
     assert len(obj["q"]) == 3
+
+
+# -- sweeps ------------------------------------------------------------------------
+
+
+def _assert_same_prediction(a, b):
+    assert (a.n, a.r, a.v, a.w, a.t, a.mode) == (b.n, b.r, b.v, b.w, b.t, b.mode)
+    assert np.array_equal(a.per_iteration_failure, b.per_iteration_failure)
+    assert a.dfr_linear == b.dfr_linear
+    assert a.log_dfr == b.log_dfr
+
+
+@pytest.mark.parametrize("r, v, t_max, mode", [(2003, 13, 60, "fast"), (250, 9, 10, "exact")])
+def test_sweep_equals_point_predictions(r, v, t_max, mode):
+    sweep = predict_sweep(2 * r, r, v, 2 * v, 0, t_max, mode=mode)
+    assert [p.t for p in sweep] == list(range(t_max + 1))
+    for t, pred in enumerate(sweep):
+        _assert_same_prediction(pred, predict_dfr(2 * r, r, v, 2 * v, t, mode=mode))
+
+
+@pytest.mark.parametrize("mode", ["fast", "exact"])
+def test_sweep_single_point_and_zero_start(mode):
+    (one,) = predict_sweep(500, 250, 9, 18, 7, 7, mode=mode)
+    _assert_same_prediction(one, predict_dfr(500, 250, 9, 18, 7, mode=mode))
+    (zero,) = predict_sweep(500, 250, 9, 18, 0, 0, mode=mode)
+    assert zero.t == 0 and zero.dfr_linear == 0.0 and zero.log_dfr == -math.inf
+    assert zero.per_iteration_failure.size == 0
+    (full,) = predict_sweep(26, 13, 3, 6, 26, 26, mode=mode)  # every position in error
+    assert full.per_iteration_failure.size == 26 and full.dfr_linear == 1.0
+    from_zero = predict_sweep(500, 250, 9, 18, 0, 3, mode=mode)
+    for pred, later in zip(from_zero[1:], predict_sweep(500, 250, 9, 18, 1, 3, mode=mode)):
+        _assert_same_prediction(pred, later)
+
+
+@pytest.mark.parametrize("t_min, t_max, message", [
+    (-1, 3, "error weight -1 out of range"),
+    (4, 3, "t_max 3 < t_min 4"),
+    (0, 27, "error weight 27 out of range for length 26"),
+])
+def test_sweep_rejects_bad_ranges(t_min, t_max, message):
+    for mode in ("fast", "exact"):
+        with pytest.raises(ValueError, match=message):
+            predict_sweep(26, 13, 3, 6, t_min, t_max, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["fast", "exact"])
+def test_sweep_evaluates_each_residual_weight_once(monkeypatch, mode):
+    calls = []
+
+    def counting_rho(n, w, u, **kwargs):
+        calls.append(u)
+        return rho(n, w, u, **kwargs)
+
+    monkeypatch.setattr(dfr, "rho", counting_rho)
+    predict_sweep(1200, 600, 13, 26, 5, 20, mode=mode)
+    assert calls == list(range(1, 21))
+    calls.clear()
+    predict_sweep(1200, 600, 13, 26, 5, 20, mode=mode)
+    assert calls == list(range(1, 21))  # nothing carried over between calls
