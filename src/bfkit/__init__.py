@@ -16,6 +16,7 @@ from .codes import (
     SparseParityCheck,
     Syndrome,
     generate_qc,
+    generate_qc_group,
     load_code,
     random_regular_code,
     sample_error,
@@ -32,6 +33,8 @@ from .decoders import (
     bfmax_decode_group,
     bfmax_decode_naive,
     bfmax_decode_sparse,
+    decode,
+    decode_group,
     predicted_op_count,
 )
 from .dfr import (
@@ -40,6 +43,7 @@ from .dfr import (
     counter_pmfs,
     log_iteration_failure,
     predict_dfr,
+    predict_sweep,
     rho,
 )
 from .simulate import (

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import make_rng, sample_distinct
+from .rng import make_rng, sample_distinct, sample_distinct_group
 
 _INDEX_DTYPE = np.int32
 
@@ -206,6 +206,16 @@ class CodeIndex:
         # (codes, blocks, v), in the platform index type so gathers need no cast
         self._stack(np.stack([np.stack(H.qc_first_columns) for H in codes]).astype(np.intp))
 
+    @classmethod
+    def from_qc_first_columns(cls, firsts: np.ndarray, r: int) -> "CodeIndex":
+        """The index of quasi-cyclic codes given by their (codes, blocks, v)
+        sorted first columns: no ``SparseParityCheck`` is built."""
+        index = cls.__new__(cls)
+        _, blocks, index.v = firsts.shape
+        index.n, index.r, index._table = blocks * r, r, None
+        index._stack(firsts.astype(np.intp, copy=False))
+        return index
+
     def _stack(self, firsts: np.ndarray) -> None:
         r, (count, blocks, _) = self.r, firsts.shape
         self._firsts = firsts
@@ -283,9 +293,10 @@ class ErrorPattern:
         sup = np.asarray(self.support, dtype=np.int64)
         object.__setattr__(self, "support", sup)
         if sup.size:
-            if sup[0] < 0 or sup[-1] >= self.n:
+            # Python scalars and slices: cheaper than numpy scalars and np.diff
+            if int(sup[0]) < 0 or int(sup[-1]) >= self.n:
                 raise ValueError("support index out of range")
-            if (np.diff(sup) <= 0).any():
+            if (sup[1:] <= sup[:-1]).any():
                 raise ValueError("support must be strictly increasing")
 
     @property
@@ -353,10 +364,14 @@ class QcSeedSpec:
     rng_seed: int
 
     def __post_init__(self):
-        if self.v < 1:
-            raise ValueError("block column weight must be positive")
-        if self.v >= self.r:
-            raise ValueError(f"column weight {self.v} must be below circulant size {self.r}")
+        _check_qc_shape(self.r, self.v)
+
+
+def _check_qc_shape(r: int, v: int) -> None:
+    if v < 1:
+        raise ValueError("block column weight must be positive")
+    if v >= r:
+        raise ValueError(f"column weight {v} must be below circulant size {r}")
 
 
 def generate_qc(spec: QcSeedSpec) -> SparseParityCheck:
@@ -372,6 +387,13 @@ def generate_qc(spec: QcSeedSpec) -> SparseParityCheck:
         for _ in range(2)
     )
     return SparseParityCheck.from_qc_first_columns(firsts, spec.r)
+
+
+def generate_qc_group(r: int, v: int, seeds) -> CodeIndex:
+    """The ``CodeIndex`` of ``generate_qc(QcSeedSpec(r, v, s))`` for each of
+    the ``seeds``: the same first columns, drawn for all keys at once."""
+    _check_qc_shape(r, v)
+    return CodeIndex.from_qc_first_columns(sample_distinct_group(seeds, r, v, times=2), r)
 
 
 def random_regular_code(n: int, r: int, v: int, w: int, rng: np.random.Generator) -> SparseParityCheck:

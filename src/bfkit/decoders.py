@@ -33,13 +33,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .codes import CodeIndex, ErrorPattern, SparseParityCheck, Syndrome
-from .rng import make_rng
+from .rng import make_rngs
 
 _COUNTER_DTYPE = np.int16
 # Counter move along a flipped check's row: -1 once satisfied, +1 once unsatisfied.
@@ -136,16 +138,25 @@ class BfConfig:
 
 @dataclass(frozen=True)
 class DecodeOutcome:
-    """Result of a decode: the recovered pattern on success, else None."""
+    """Result of a decode of a length-``n`` code. ``error_estimate``, the
+    recovered pattern on success and None otherwise, is derived from the
+    flip log on first access."""
 
-    error_estimate: ErrorPattern | None
+    success: bool
     iterations_used: int
     flip_log: tuple[int, ...]
     op_counts: OpCounts
+    n: int
 
-    @property
-    def success(self) -> bool:
-        return self.error_estimate is not None
+    @cached_property
+    def error_estimate(self) -> ErrorPattern | None:
+        if not self.success:
+            return None
+        # a position flipped an odd number of times is in the estimate
+        odd = set(self.flip_log)
+        if len(odd) < len(self.flip_log):  # some position was flipped again
+            odd = {i for i, flips in Counter(self.flip_log).items() if flips & 1}
+        return ErrorPattern(self.n, np.array(sorted(odd), dtype=np.int64))
 
 
 IterationHook = Callable[[DecoderState], None]
@@ -220,10 +231,6 @@ def _bf_group(index: CodeIndex, syndromes: np.ndarray, thresholds: Sequence[int]
         n, success, iterations, flips,
         lambda b, log: OpCounts(n * v * int(iterations[b]), n * int(iterations[b]), v * len(log)),
     )
-
-
-def _estimate_pattern(estimate: np.ndarray) -> ErrorPattern:
-    return ErrorPattern(estimate.size, np.flatnonzero(estimate).astype(np.int64))
 
 
 def bfmax_decode_naive(
@@ -401,15 +408,17 @@ def bfmax_decode_group(
 def _group_outcomes(n, success, iterations, flips, ops) -> list[DecodeOutcome]:
     """Each trial's outcome from the per-iteration ``flips``; ``ops(b, log)``
     gives trial b's op counts from its flip log."""
-    logs = [[] for _ in range(success.size)]
-    for flipped, positions in flips:
-        for b, i in zip(flipped.tolist(), positions.tolist()):
-            logs[b].append(i)
+    trials = np.concatenate([np.empty(0, dtype=np.intp)] + [flipped for flipped, _ in flips])
+    positions = np.concatenate([np.empty(0, dtype=np.intp)] + [picks for _, picks in flips])
+    # a stable sort by trial keeps each trial's flips in iteration order
+    flat = positions[np.argsort(trials, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(trials, minlength=success.size)).tolist()
     outcomes = []
-    for b, log in enumerate(logs):
-        # a position flipped an odd number of times is in the estimate
-        estimate = _estimate_pattern(np.bincount(log, minlength=n) & 1) if success[b] else None
-        outcomes.append(DecodeOutcome(estimate, int(iterations[b]), tuple(log), ops(b, log)))
+    start = 0
+    for b, (end, ok, used) in enumerate(zip(ends, success.tolist(), iterations.tolist())):
+        log = tuple(flat[start:end])
+        start = end
+        outcomes.append(DecodeOutcome(ok, used, log, ops(b, log), n))
     return outcomes
 
 
@@ -431,7 +440,7 @@ def decode_group(
     check_decoder(decoder, iter_max, thresholds)
     if decoder == "bf":
         return _bf_group(index, syndromes, thresholds)
-    rngs = [make_rng(seed) for seed in tie_seeds]
+    rngs = make_rngs(tie_seeds)
     return bfmax_decode_group(
         index, syndromes, iter_max, rngs, incremental=decoder == "bfmax-sparse"
     )

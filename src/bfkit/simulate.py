@@ -11,9 +11,10 @@ A code source is one of two kinds. A shared source holds one code for
 every trial (``code``): an in-memory code, a file, or a seeded
 quasi-cyclic key, built on first use. A fresh source has no shared code
 (``code`` is None) and builds each trial's quasi-cyclic key from that
-trial's key stream (``key``). Every trial, in ``run_sim`` and in the
-naive-vs-sparse differential campaign alike, is set up by the same
-(code, error, tie-break seed) step. A chunk's trials are decoded in
+trial's key stream (``keys``, a group of trials at once). Every trial, in
+``run_sim`` and in the naive-vs-sparse differential campaign alike, is set
+up by the same step, ``_group_inputs``, which draws a group's codes, errors
+and tie-break seeds together. A chunk's trials are decoded in
 lockstep groups of ``_GROUP`` by ``decode_group``; a single-flip trial
 keeps its own tie-break stream, so group and chunk boundaries cannot move
 a result.
@@ -40,15 +41,14 @@ from scipy.special import betaincinv
 
 from .codes import (
     CodeIndex,
-    ErrorPattern,
     QcSeedSpec,
     SparseParityCheck,
     generate_qc,
+    generate_qc_group,
     load_code,
-    sample_error,
 )
 from .decoders import DecodeOutcome, OpCounts, check_decoder, decode_group, predicted_op_count
-from .rng import STREAM_ERROR, STREAM_KEY, STREAM_TIEBREAK, child_seed, make_rng
+from .rng import STREAM_ERROR, STREAM_KEY, STREAM_TIEBREAK, child_seeds, sample_distinct_group
 
 SEED_SCHEME = "splitmix64-v1"
 
@@ -119,18 +119,19 @@ class FreshQcSource:
 
     r: int
     v: int
-    code = None  # no code is shared; ``key`` builds each trial's
+    code = None  # no code is shared; ``keys`` builds each group's
 
     @cached_property
     def _seed0_key(self) -> SparseParityCheck:
-        return self.key(0)
+        return generate_qc(QcSeedSpec(self.r, self.v, 0))
 
     def profile(self) -> SparseParityCheck:
         """The seed-0 key, built once; every fresh key has its shape."""
         return self._seed0_key
 
-    def key(self, key_seed: int) -> SparseParityCheck:
-        return generate_qc(QcSeedSpec(self.r, self.v, key_seed))
+    def keys(self, key_seeds: np.ndarray) -> CodeIndex:
+        """The ``CodeIndex`` of the keys ``generate_qc`` builds from ``key_seeds``."""
+        return generate_qc_group(self.r, self.v, key_seeds)
 
     def describe(self) -> str:
         return f"fresh-qc(r={self.r},v={self.v})"
@@ -234,30 +235,31 @@ def checked_profile(plan: SimPlan) -> SparseParityCheck:
     return profile
 
 
-def _trial_inputs(plan: SimPlan, index: int) -> tuple[SparseParityCheck, ErrorPattern, int]:
-    """Code, error and tie-break seed of trial ``index``."""
-    child = child_seed(plan.master_seed, index)
-    H = plan.source.code
-    if H is None:
-        H = plan.source.key(child_seed(child, STREAM_KEY))
-    e = sample_error(H.n, plan.t, make_rng(child_seed(child, STREAM_ERROR)))
-    return H, e, child_seed(child, STREAM_TIEBREAK)
-
-
 def _groups(lo: int, hi: int):
     return ((g, min(g + _GROUP, hi)) for g in range(lo, hi, _GROUP))
 
 
 def _group_inputs(plan: SimPlan, lo: int, hi: int):
-    """Code index, errors, (B, r) syndromes and tie-break seeds of trials
-    ``lo`` to ``hi - 1``."""
-    codes, errors, seeds = zip(*(_trial_inputs(plan, i) for i in range(lo, hi)))
-    index = CodeIndex(codes)
-    return index, errors, index.syndromes(np.stack([e.support for e in errors])), seeds
+    """Code index, (B, t) error supports, (B, r) syndromes and tie-break
+    seeds of trials ``lo`` to ``hi - 1``.
+
+    Trial i's child seed is ``child_seed(master_seed, i)``; its key, error
+    and tie-break streams are child seeds of that. A fresh key is
+    ``generate_qc`` on the key seed and the error is ``sample_error`` on the
+    error stream, both drawn here for the whole group at once.
+    """
+    child = child_seeds(plan.master_seed, np.arange(lo, hi))
+    source = plan.source
+    if source.code is None:
+        index = source.keys(child_seeds(child, STREAM_KEY))
+    else:
+        index = CodeIndex([source.code] * (hi - lo))
+    errors = sample_distinct_group(child_seeds(child, STREAM_ERROR), index.n, plan.t)[:, 0]
+    return index, errors, index.syndromes(errors), child_seeds(child, STREAM_TIEBREAK).tolist()
 
 
-def _record(outcome: DecodeOutcome, e: ErrorPattern):
-    exact = outcome.success and outcome.error_estimate == e
+def _record(outcome: DecodeOutcome, e: np.ndarray):
+    exact = outcome.success and np.array_equal(outcome.error_estimate.support, e)
     ops = outcome.op_counts
     return (
         not exact,

@@ -19,6 +19,22 @@ from bfkit.decoders import OpCounts, argmax_scan, bfmax_decode_group
 from bfkit.dfr import CounterDistribution
 
 
+def sample_distinct_pool(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """``bfkit.rng.sample_distinct`` as a swap loop over a full ``arange(n)`` pool:
+    draw j_i uniform in [i, n) with one ``integers`` call, swap slots i and
+    j_i, and keep the first ``k`` slots, sorted."""
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    pool = np.arange(n, dtype=np.int64)
+    draws = rng.integers(low=np.arange(k), high=n)
+    for i in range(k):
+        j = draws[i]
+        pool[i], pool[j] = pool[j], pool[i]
+    out = pool[:k]
+    out.sort()
+    return out
+
+
 def dense_matrix(H: SparseParityCheck) -> np.ndarray:
     D = np.zeros((H.r, H.n), dtype=np.uint8)
     for i in range(H.n):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import bfkit
 from bfkit import simulate
 from bfkit.cli import SIM_CSV_COLUMNS, _read_syndrome_file, main
-from bfkit.codes import generate_qc, load_code
+from bfkit.codes import generate_qc, generate_qc_group, load_code
 
 from helpers import faulty_sparse_group
 
@@ -577,8 +577,14 @@ def test_compare_builds_profile_key_once(monkeypatch):
         seeds.append(spec.rng_seed)
         return generate_qc(spec)
 
-    # one worker keeps every key build in this process, where the patch applies
+    def counting_group(r, v, key_seeds):
+        seeds.extend(key_seeds.tolist())
+        return generate_qc_group(r, v, key_seeds)
+
+    # one worker keeps every key build in this process, where the patches
+    # apply: the profile key is built alone, the trials' keys by group
     monkeypatch.setattr("bfkit.simulate.generate_qc", counting)
+    monkeypatch.setattr("bfkit.simulate.generate_qc_group", counting_group)
     assert run_cli("compare", "--trials", 5, "--opcount-trials", 5, "--workers", 1) == 0
     assert seeds.count(0) == 1
     assert len(seeds) == 1 + 5 + 5
@@ -680,3 +686,8 @@ def test_reproducible_outputs(tmp_path):
     ma = (tmp_path / "a.csv.manifest.json").read_text()
     mb = (tmp_path / "b.csv.manifest.json").read_text()
     assert ma.replace("a.csv", "X") == mb.replace("b.csv", "X")
+
+
+def test_package_exports_decode_and_sweep_entry_points():
+    for name in ("decode", "decode_group", "predict_sweep", "generate_qc_group"):
+        assert callable(getattr(bfkit, name)), name
