@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
@@ -225,7 +226,9 @@ def _cmd_simulate(args) -> int:
         worker_count=_workers(args),
         chunk_size=args.chunk_size,
     )
-    profile = checked_profile(plan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # run_sim repeats the check, warnings included
+        profile = checked_profile(plan)
     _claim_out(args.out)
     report = run_sim(plan)
 

@@ -28,6 +28,10 @@ _INDEX_DTYPE = np.int32
 # Stub swaps ``random_regular_code`` tries before giving up on a simple graph.
 _MAX_SWAPS = 100_000
 
+# Bytes of syndrome shifts ``CodeIndex.unsatisfied_counts`` gathers at once: a
+# quasi-cyclic row takes blocks*v*r of them (1.75 MB at r=12323, v=71).
+_GATHER_BYTES = 1 << 24
+
 
 class CodeFormatError(ValueError):
     """Raised when a code or syndrome file cannot be parsed; message names the line."""
@@ -265,9 +269,18 @@ class CodeIndex:
         count, r = S.shape
         if self._table is None:
             # shifts[i, j] is the syndrome of row i rolled left by j (a view)
-            shifts = np.lib.stride_tricks.sliding_window_view(np.concatenate([S, S], axis=1), r, axis=1)
-            picked = shifts[np.arange(count)[:, None, None], self._firsts]
-            return picked.sum(axis=2, dtype=np.int16).reshape(count, self.n)
+            doubled = np.concatenate([S, S], axis=1)
+            row, col = doubled.strides
+            shifts = np.lib.stride_tricks.as_strided(
+                doubled, shape=(count, r, r), strides=(row, col, col), writeable=False
+            )
+            counts = np.empty((count, self.n), dtype=np.int16)
+            step = max(1, _GATHER_BYTES // (self._firsts[0].size * r))
+            for lo in range(0, count, step):
+                rows = np.arange(lo, min(lo + step, count))
+                picked = shifts[rows[:, None, None], self._firsts[rows]]
+                counts[rows] = picked.sum(axis=2, dtype=np.int16).reshape(rows.size, self.n)
+            return counts
         rows, checks = np.divmod(np.flatnonzero(S), r)
         cols, lengths = self.row_columns(checks)
         pos = np.repeat(rows * self.n, lengths) + cols
@@ -317,6 +330,15 @@ class ErrorPattern:
         if not isinstance(other, ErrorPattern):
             return NotImplemented
         return self.n == other.n and np.array_equal(self.support, other.support)
+
+    @classmethod
+    def _unchecked(cls, n: int, support: np.ndarray) -> "ErrorPattern":
+        """The pattern of an int64 support the caller knows to be sorted,
+        distinct and in range, built without checking it again."""
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "n", n)
+        object.__setattr__(pattern, "support", support)
+        return pattern
 
     @classmethod
     def from_support(cls, n: int, support) -> "ErrorPattern":
@@ -443,7 +465,7 @@ def sample_error(n: int, t: int, rng: np.random.Generator) -> ErrorPattern:
     """Uniform random weight-t pattern of length n."""
     if not 0 <= t <= n:
         raise ValueError(f"weight {t} out of range for length {n}")
-    return ErrorPattern(n, sample_distinct(rng, n, t))
+    return ErrorPattern._unchecked(n, sample_distinct(rng, n, t))
 
 
 # -- file format ------------------------------------------------------------

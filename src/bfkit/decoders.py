@@ -16,10 +16,15 @@ Three decoders, one counter definition:
 Every decoder advances a group of trials in lockstep on (B, n) counter and
 (B, r) syndrome arrays over a ``CodeIndex``, and a single decode is a group
 of one. ``decode_group`` is the one place that runs a decoder by its name
-in ``DECODERS``; ``decode``, ``bf_decode``, ``bfmax_decode_naive`` and
-``bfmax_decode_sparse`` are its groups of one. A single-flip trial keeps its
-own tie-break generator, so its flip log does not depend on the group it
-ran in.
+in ``DECODERS``. It returns the group's results as arrays, a
+``GroupResult``: success and iteration counts, every flip as a (trial,
+position) pair in the order made, and each trial's op counts. Only callers
+that want objects build ``DecodeOutcome``s from it: ``decode``,
+``bf_decode``, ``bfmax_decode_naive`` and ``bfmax_decode_sparse`` are its
+groups of one. A single-flip trial keeps its own tie-break generator, so its
+flip log does not depend on the group it ran in. A group of more than one
+reads each generator's words ahead once and draws every tied row's pick in
+one pass, bit for bit as ``Generator.integers`` would.
 
 The counter of position i is the number of unsatisfied parity checks it
 participates in; it always lies in [0, v]. Decoding stops when the working
@@ -46,6 +51,9 @@ from .rng import make_rngs
 _COUNTER_DTYPE = np.int16
 # Counter move along a flipped check's row: -1 once satisfied, +1 once unsatisfied.
 _STEP = np.array([-1, 1], dtype=_COUNTER_DTYPE)
+_MASK32 = (1 << 32) - 1
+# Tie-break words a group reads ahead per trial: one per iteration, up to this many.
+_TIE_WORDS = 64
 
 DECODERS = ("bf", "bfmax-naive", "bfmax-sparse")
 
@@ -156,7 +164,65 @@ class DecodeOutcome:
         odd = set(self.flip_log)
         if len(odd) < len(self.flip_log):  # some position was flipped again
             odd = {i for i, flips in Counter(self.flip_log).items() if flips & 1}
-        return ErrorPattern(self.n, np.array(sorted(odd), dtype=np.int64))
+        return ErrorPattern._unchecked(self.n, np.array(sorted(odd), dtype=np.int64))
+
+
+@dataclass(frozen=True)
+class GroupResult:
+    """A lockstep group's results as arrays over its B trials.
+
+    ``success`` and ``iterations`` are (B,). Every flip of the group is one
+    entry of ``flip_trials`` (its trial) and ``flip_positions``, in the
+    order the flips were made, so a trial's entries are its flip log.
+    ``ops`` is (B, 4): each trial's op counts in ``OpCounts`` field order.
+    """
+
+    n: int
+    success: np.ndarray
+    iterations: np.ndarray
+    flip_trials: np.ndarray
+    flip_positions: np.ndarray
+    ops: np.ndarray
+
+    def flip_logs(self) -> list[tuple[int, ...]]:
+        """Each trial's flip log."""
+        count = self.success.size
+        if count == 1:
+            return [tuple(self.flip_positions.tolist())]
+        # a stable sort by trial keeps each trial's flips in iteration order
+        flat = self.flip_positions[np.argsort(self.flip_trials, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(self.flip_trials, minlength=count)).tolist()
+        return [tuple(flat[start:end]) for start, end in zip([0] + ends[:-1], ends)]
+
+    def outcomes(self) -> list[DecodeOutcome]:
+        """Each trial's ``DecodeOutcome``."""
+        return [
+            DecodeOutcome(ok, used, log, OpCounts(*ops), self.n)
+            for ok, used, log, ops in zip(
+                self.success.tolist(), self.iterations.tolist(), self.flip_logs(), self.ops.tolist()
+            )
+        ]
+
+    def recovers(self, errors: np.ndarray) -> np.ndarray:
+        """(B,) bool: whether the positions each trial flipped an odd number
+        of times are exactly its row of the (B, t) error supports (a
+        position repeated in a row counts once)."""
+        count, n = self.success.size, self.n
+        odd = np.zeros(count * n, dtype=np.uint8)
+        odd[(errors + np.arange(count)[:, None] * n).ravel()] = 1
+        np.bitwise_xor.at(odd, self.flip_trials * n + self.flip_positions, 1)
+        return ~odd.reshape(count, n).any(axis=1)
+
+    def same_flips(self, other: "GroupResult") -> bool:
+        """Whether every trial has the same success and flip log in both."""
+        return all(
+            np.array_equal(a, b)
+            for a, b in (
+                (self.success, other.success),
+                (self.flip_trials, other.flip_trials),
+                (self.flip_positions, other.flip_positions),
+            )
+        )
 
 
 IterationHook = Callable[[DecoderState], None]
@@ -190,10 +256,21 @@ def bf_decode(H: SparseParityCheck, s: Syndrome, cfg: BfConfig) -> DecodeOutcome
     recomputed until the next iteration. Runs while the syndrome is nonzero
     and iterations remain; succeeds iff the final syndrome is zero.
     """
-    return _bf_group(H.index, s.bits[None, :], cfg.thresholds)[0]
+    warn_low_thresholds(H.v, cfg.thresholds, stacklevel=2)
+    return _bf_group(H.index, s.bits[None, :], cfg.thresholds).outcomes()[0]
 
 
-def _bf_group(index: CodeIndex, syndromes: np.ndarray, thresholds: Sequence[int]) -> list[DecodeOutcome]:
+def warn_low_thresholds(v: int, thresholds: Sequence[int] | None, *, stacklevel: int) -> None:
+    """Warn when a ``bf`` threshold lies below ceil(v/2). ``stacklevel`` is
+    counted from the caller, as in ``warnings.warn``: 2 names its caller."""
+    floor = math.ceil(v / 2)
+    if thresholds and min(thresholds) < floor:
+        warnings.warn(
+            f"threshold below ceil(v/2)={floor} invites oscillation", stacklevel=stacklevel + 1
+        )
+
+
+def _bf_group(index: CodeIndex, syndromes: np.ndarray, thresholds: Sequence[int]) -> GroupResult:
     """Out-of-place bit flipping of a group of trials in lockstep: row b of
     the (B, r) ``syndromes`` in trial b's code of ``index``, one iteration
     per threshold. An iteration's flips are logged in position order."""
@@ -203,9 +280,6 @@ def _bf_group(index: CodeIndex, syndromes: np.ndarray, thresholds: Sequence[int]
     n, v = index.n, index.v
     if any(b > v for b in thresholds):
         raise ValueError(f"threshold exceeds column weight v={v}")
-    floor = math.ceil(v / 2)
-    if any(b < floor for b in thresholds):
-        warnings.warn(f"threshold below ceil(v/2)={floor} invites oscillation", stacklevel=3)
     trials = np.arange(count)
     S = syndromes.astype(np.uint8)
     iterations = np.full(count, len(thresholds), dtype=np.int64)
@@ -226,10 +300,19 @@ def _bf_group(index: CodeIndex, syndromes: np.ndarray, thresholds: Sequence[int]
         flips.append((trials[rows], cols))
     success = np.ones(count, dtype=bool)
     success[trials] = ~S.any(axis=1)
+    flip_trials, flip_positions = _flat(flips)
     # an iteration counts n*v adds and n comparisons; a flip toggles v checks
-    return _group_outcomes(
-        n, success, iterations, flips,
-        lambda b, log: OpCounts(n * v * int(iterations[b]), n * int(iterations[b]), v * len(log)),
+    per_trial = np.bincount(flip_trials, minlength=count)
+    ops = np.stack([n * v * iterations, n * iterations, v * per_trial, 0 * iterations], axis=1)
+    return GroupResult(n, success, iterations, flip_trials, flip_positions, ops)
+
+
+def _flat(flips: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The per-iteration (trials, positions) of ``flips``, concatenated."""
+    empty = np.empty(0, dtype=np.intp)
+    return (
+        np.concatenate([empty] + [trials for trials, _ in flips]),
+        np.concatenate([empty] + [positions for _, positions in flips]),
     )
 
 
@@ -284,21 +367,82 @@ def _bfmax_decode(
 
     return bfmax_decode_group(
         H.index, s.bits[None, :], iter_max, [rng], incremental=incremental, on_iteration=hook,
-    )[0]
+    ).outcomes()[0]
 
 
-def _trial_ops(
-    n: int, v: int, w: int | None, incremental: bool, iterations: int, touches: int
-) -> OpCounts:
-    """Op counts of a trial that ran ``iterations``. Each iteration scans n
-    counters and toggles v syndrome bits; counters cost n*v adds per
-    computation, once (incremental) or every iteration. An incremental
-    iteration touches the counters along the v rows of the flipped column:
-    v*w of them when every row has length w, else ``touches`` tallies them."""
-    computations = 1 if incremental else iterations
-    if incremental and w is not None:
-        touches = v * w * iterations
-    return OpCounts(n * v * computations, n * iterations, v * iterations, touches)
+def _op_table(n: int, v: int, w: int | None, incremental: bool, iterations, touches) -> np.ndarray:
+    """Op counts of trials that ran ``iterations``, in ``OpCounts`` field
+    order along a last axis. Each iteration scans n counters and toggles v
+    syndrome bits; counters cost n*v adds per computation, once
+    (incremental) or every iteration. An incremental iteration touches the
+    counters along the v rows of the flipped column: v*w of them when every
+    row has length w, else ``touches`` tallies them."""
+    ops = np.empty(np.shape(iterations) + (4,), dtype=np.int64)
+    ops[..., 0] = n * v * (1 if incremental else iterations)
+    ops[..., 1] = n * iterations
+    ops[..., 2] = v * iterations
+    ops[..., 3] = v * w * iterations if incremental and w is not None else touches
+    return ops
+
+
+class _TieWords:
+    """The tie-break draws of a group's generators, read ahead.
+
+    ``draw(rows, sizes)`` gives ``rngs[b].integers(0, m)`` for each row b of
+    ``rows`` and its m in ``sizes``, bit for bit. It reads numpy's uint32
+    stream: first a half a generator still holds from an earlier 32-bit
+    draw, then the halves of its 64-bit outputs, low half first. Each row's
+    words are read ``count`` at a time with ``random_raw``, and numpy's
+    bounded rule ``(u * m) >> 32`` runs on every row at once (Lemire, "Fast
+    random integer generation in an interval", 2019). A row whose product
+    falls in the rejection band redraws word by word, as numpy does, and a
+    row that uses up its words reads the next ones from its generator.
+    """
+
+    def __init__(self, rngs: Sequence[np.random.Generator], count: int):
+        self._bits = [rng.bit_generator for rng in rngs]
+        self._raw = max(1, (count + 1) // 2)
+        raw = np.stack([bits.random_raw(self._raw) for bits in self._bits]).astype("<u8", copy=False)
+        # column 0 holds a half a generator held; the read words follow it
+        self.words = np.zeros((len(rngs), 1 + raw.shape[1] * 2), dtype=np.uint32)
+        self.words[:, 1:] = raw.view("<u4")
+        self.next = np.ones(len(rngs), dtype=np.intp)  # each row's next word
+        for b, bits in enumerate(self._bits):
+            state = bits.state
+            if "has_uint32" not in state:
+                raise ValueError("tie-break generators must split 64-bit outputs into uint32 halves")
+            if state["has_uint32"]:
+                self.words[b, 0], self.next[b] = state["uinteger"], 0
+
+    def _refill(self, b: int) -> None:
+        """Row b's next words, read from its generator."""
+        self.words[b, 1:] = self._bits[b].random_raw(self._raw).astype("<u8", copy=False).view("<u4")
+        self.next[b] = 1
+
+    def _word(self, b: int) -> int:
+        if self.next[b] == self.words.shape[1]:
+            self._refill(b)
+        self.next[b] += 1
+        return int(self.words[b, self.next[b] - 1])
+
+    def draw(self, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """One pick per row of ``rows`` (distinct); each size is at least 2."""
+        for i in np.flatnonzero(self.next[rows] == self.words.shape[1]).tolist():
+            self._refill(int(rows[i]))
+        at = self.next[rows]
+        self.next[rows] = at + 1
+        m = sizes.astype(np.uint64)
+        scaled = self.words[rows, at] * m
+        picks = (scaled >> 32).astype(np.intp)
+        # numpy redraws while the low half lies below (2**32 - m) % m
+        for i in np.flatnonzero((scaled & _MASK32) < (2**32 - m) % m).tolist():
+            b, size = int(rows[i]), int(m[i])
+            limit = (2**32 - size) % size
+            product = self._word(b) * size
+            while product & _MASK32 < limit:
+                product = self._word(b) * size
+            picks[i] = product >> 32
+        return picks
 
 
 def bfmax_decode_group(
@@ -309,7 +453,7 @@ def bfmax_decode_group(
     *,
     incremental: bool,
     on_iteration: Callable[[np.ndarray, np.ndarray, Callable[[int], OpCounts]], None] | None = None,
-) -> list[DecodeOutcome]:
+) -> GroupResult:
     """Single-flip decoding of a group of trials in lockstep.
 
     Row b of the (B, r) ``syndromes`` is decoded in trial b's code of
@@ -320,6 +464,10 @@ def bfmax_decode_group(
     group. After each iteration ``on_iteration`` gets the
     (k, n) counters and (k, r) syndromes of the k trials still in the
     group, in group order, and a function giving row i's op counts so far.
+
+    A group of one draws its ties with ``Generator.integers``. A larger
+    group reads its generators ahead (``_TieWords``), so it leaves them
+    past the words it read.
     """
     count, r = syndromes.shape
     if r != index.r:
@@ -334,24 +482,29 @@ def bfmax_decode_group(
     S = syndromes.astype(np.uint8)
     touches = np.zeros(count, dtype=np.int64)
     counters = index.unsatisfied_counts(S) if incremental else None
+    ties = _TieWords(rngs, min(iter_max, _TIE_WORDS)) if count > 1 else None
     # Per group trial, filled in as it leaves.
     iterations = np.zeros(count, dtype=np.int64)
     touched = np.zeros(count, dtype=np.int64)
     flips = []  # per iteration: (trials that flipped, their positions)
     # where each state row begins in the flattened counters and syndromes
     starts, syndrome_starts = trials * n, trials[:, None] * r
+    # A group of one tracks its syndrome weight and scans S only once that
+    # is 0; for more trials one scan is cheaper than updating their weights.
+    weight = np.count_nonzero(S) if count == 1 else None
     for it in range(1, iter_max + 1):
-        live = S.max(axis=1).view(np.bool_)  # bits are 0/1; max is the quicker reduction
-        if np.count_nonzero(live) < live.size:
-            iterations[trials[~live]] = it - 1
-            touched[trials[~live]] = touches[~live]
-            trials, S, touches = trials[live], S[live], touches[live]
-            if not trials.size:
-                break
-            index = index.select(live)
-            if incremental:
-                counters = counters[live]
-            starts, syndrome_starts = starts[:trials.size], syndrome_starts[:trials.size]
+        if not weight:
+            live = S.max(axis=1).view(np.bool_)  # bits are 0/1; max is the quicker reduction
+            if np.count_nonzero(live) < live.size:
+                iterations[trials[~live]] = it - 1
+                touched[trials[~live]] = touches[~live]
+                trials, S, touches = trials[live], S[live], touches[live]
+                if not trials.size:
+                    break
+                index = index.select(live)
+                if incremental:
+                    counters = counters[live]
+                starts, syndrome_starts = starts[:trials.size], syndrome_starts[:trials.size]
         if not incremental:
             counters = index.unsatisfied_counts(S)
         k = trials.size
@@ -363,23 +516,34 @@ def bfmax_decode_group(
         # k == 1 cases below give the general result with fewer numpy calls
         # (a lone row needs no row boundaries and flips one scalar column);
         # without them a single decode, a group of one, takes about 1.4x as long.
-        at = (counters == counters.max(axis=1, keepdims=True)).ravel().nonzero()[0]
         if k == 1:
-            first = rngs[trials[0]].integers(0, at.size) if at.size > 1 else 0
+            row = counters.reshape(-1)
+            at = (row == row.max()).nonzero()[0]
+            first = 0
+            if at.size > 1 and ties is None:
+                first = rngs[0].integers(at.size)
+            elif at.size > 1:
+                first = ties.draw(trials, np.array([at.size]))[0]
             flipped, picks = at[first], at[first:first + 1]
         else:
-            choice, first = [], 0
-            for b, end in zip(trials.tolist(), np.searchsorted(at, starts + n).tolist()):
-                choice.append(first if end - first == 1 else first + rngs[b].integers(0, end - first))
-                first = end
+            at = (counters == counters.max(axis=1, keepdims=True)).ravel().nonzero()[0]
+            ends = np.searchsorted(at, starts + n)
+            choice = np.concatenate([[0], ends[:-1]])  # each row's first maximum
+            sizes = ends - choice
+            tied = np.flatnonzero(sizes > 1)
+            if tied.size:
+                choice[tied] += ties.draw(trials[tied], sizes[tied])
             flipped = at[choice]
             picks = flipped - starts
 
         checks = index.column_checks(flipped)
         hit = checks.ravel() if k == 1 else (checks + syndrome_starts).ravel()
         flat = S.reshape(-1)
-        now = flat[hit] ^ 1
+        now = flat[hit]
+        now ^= 1
         flat[hit] = now
+        if weight is not None:
+            weight += 2 * np.count_nonzero(now) - v
         if incremental:
             cols, lengths = index.row_columns(checks)
             if w is None:
@@ -393,33 +557,17 @@ def bfmax_decode_group(
             np.add.at(counters.reshape(-1), pos, _STEP[now].repeat(lengths))
         flips.append((trials, picks))
         if on_iteration is not None:
-            on_iteration(counters, S, lambda row: _trial_ops(n, v, w, incremental, it, int(touches[row])))
+            on_iteration(
+                counters, S,
+                lambda row: OpCounts(*_op_table(n, v, w, incremental, it, int(touches[row])).tolist()),
+            )
     iterations[trials] = iter_max
     touched[trials] = touches
 
     success = np.ones(count, dtype=bool)
     success[trials] = ~S.any(axis=1)
-    return _group_outcomes(
-        n, success, iterations, flips,
-        lambda b, log: _trial_ops(n, v, w, incremental, int(iterations[b]), int(touched[b])),
-    )
-
-
-def _group_outcomes(n, success, iterations, flips, ops) -> list[DecodeOutcome]:
-    """Each trial's outcome from the per-iteration ``flips``; ``ops(b, log)``
-    gives trial b's op counts from its flip log."""
-    trials = np.concatenate([np.empty(0, dtype=np.intp)] + [flipped for flipped, _ in flips])
-    positions = np.concatenate([np.empty(0, dtype=np.intp)] + [picks for _, picks in flips])
-    # a stable sort by trial keeps each trial's flips in iteration order
-    flat = positions[np.argsort(trials, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(trials, minlength=success.size)).tolist()
-    outcomes = []
-    start = 0
-    for b, (end, ok, used) in enumerate(zip(ends, success.tolist(), iterations.tolist())):
-        log = tuple(flat[start:end])
-        start = end
-        outcomes.append(DecodeOutcome(ok, used, log, ops(b, log), n))
-    return outcomes
+    ops = _op_table(n, v, w, incremental, iterations, touched)
+    return GroupResult(n, success, iterations, *_flat(flips), ops)
 
 
 def decode_group(
@@ -430,7 +578,7 @@ def decode_group(
     *,
     thresholds: tuple[int, ...] | None = None,
     tie_seeds: Sequence[int],
-) -> list[DecodeOutcome]:
+) -> GroupResult:
     """Run the decoder named ``decoder`` (one of ``DECODERS``) on a group:
     row b of the (B, r) ``syndromes`` in trial b's code of ``index``.
 
@@ -456,9 +604,11 @@ def decode(
     tie_seed: int = 0,
 ) -> DecodeOutcome:
     """``decode_group`` on one syndrome: a group of one."""
+    if decoder == "bf":
+        warn_low_thresholds(H.v, thresholds, stacklevel=2)
     return decode_group(
         decoder, H.index, s.bits[None, :], iter_max, thresholds=thresholds, tie_seeds=[tie_seed]
-    )[0]
+    ).outcomes()[0]
 
 
 def check_decoder(decoder: str, iter_max: int, thresholds: tuple[int, ...] | None) -> None:

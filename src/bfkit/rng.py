@@ -186,9 +186,12 @@ def sample_distinct(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
         raise ValueError(f"cannot sample {k} distinct values from {n}")
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    out = np.array(_partial_shuffle(rng.integers(low=np.arange(k), high=n).tolist()), dtype=np.int64)
-    out.sort()
-    return out
+    picks = rng.integers(low=np.arange(k), high=n).tolist()
+    # Distinct picks each move an untouched slot, so they are the sample;
+    # a repeated pick needs the swaps.
+    if len(set(picks)) < k:
+        picks = _partial_shuffle(picks)
+    return np.array(sorted(picks), dtype=np.int64)
 
 
 @lru_cache(maxsize=16)

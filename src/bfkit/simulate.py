@@ -15,14 +15,18 @@ trial's key stream (``keys``, a group of trials at once). Every trial, in
 ``run_sim`` and in the naive-vs-sparse differential campaign alike, is set
 up by the same step, ``_group_inputs``, which draws a group's codes, errors
 and tie-break seeds together. A chunk's trials are decoded in
-lockstep groups of ``_GROUP`` by ``decode_group``; a single-flip trial
+lockstep groups of ``_GROUP`` (128) by ``decode_group``; a single-flip trial
 keeps its own tie-break stream, so group and chunk boundaries cannot move
 a result.
 
 A trial counts as a failure unless the decoder reports success AND the
 recovered pattern equals the sampled error; successful decodes of the
 wrong pattern (matching syndrome, different support) are miscorrections
-and are tallied separately as well.
+and are tallied separately as well. Both are read from a group's result
+arrays at once, with no per-trial objects: a chunk returns per-trial
+arrays, and ``run_sim`` sums them up to the trial that meets the failure
+target. The differential campaign compares the two decoders' flip arrays
+and builds a ``Mismatch`` only for a trial that differs.
 """
 
 from __future__ import annotations
@@ -47,14 +51,14 @@ from .codes import (
     generate_qc_group,
     load_code,
 )
-from .decoders import DecodeOutcome, OpCounts, check_decoder, decode_group, predicted_op_count
+from .decoders import OpCounts, check_decoder, decode_group, predicted_op_count, warn_low_thresholds
 from .rng import STREAM_ERROR, STREAM_KEY, STREAM_TIEBREAK, child_seeds, sample_distinct_group
 
 SEED_SCHEME = "splitmix64-v1"
 
 # Trials a chunk decodes in lockstep. It bounds a group's (B, n) counter
 # state, so memory does not grow with the chunk size.
-_GROUP = 32
+_GROUP = 128
 
 
 # -- code sources ------------------------------------------------------------
@@ -227,11 +231,14 @@ def clopper_pearson(failures: int, trials: int, alpha: float = 0.05) -> tuple[fl
 # -- trial machinery ---------------------------------------------------------
 
 
-def checked_profile(plan: SimPlan) -> SparseParityCheck:
-    """The plan's code profile, once the plan is known to fit it."""
+def checked_profile(plan: SimPlan, *, stacklevel: int = 2) -> SparseParityCheck:
+    """The plan's code profile, once the plan is known to fit it. A ``bf``
+    threshold below ceil(v/2) warns, naming the frame ``stacklevel`` levels
+    up as ``warnings.warn`` does: by default the caller."""
     profile = plan.source.profile()
     if plan.t > profile.n:
         raise ValueError(f"t={plan.t} exceeds code length {profile.n}")
+    warn_low_thresholds(profile.v, plan.thresholds, stacklevel=stacklevel)
     return profile
 
 
@@ -258,29 +265,18 @@ def _group_inputs(plan: SimPlan, lo: int, hi: int):
     return index, errors, index.syndromes(errors), child_seeds(child, STREAM_TIEBREAK).tolist()
 
 
-def _record(outcome: DecodeOutcome, e: np.ndarray):
-    exact = outcome.success and np.array_equal(outcome.error_estimate.support, e)
-    ops = outcome.op_counts
-    return (
-        not exact,
-        outcome.success and not exact,  # a miscorrection
-        outcome.iterations_used,
-        ops.counter_init_adds,
-        ops.argmax_comparisons,
-        ops.syndrome_bit_updates,
-        ops.counter_update_touches,
-    )
-
-
 def _run_chunk(plan: SimPlan, lo: int, hi: int):
-    records = []
+    """Whether each of trials ``lo`` to ``hi - 1`` failed and whether it
+    miscorrected, its iterations and its (trials, 4) op counts, as arrays."""
+    columns = []
     for g_lo, g_hi in _groups(lo, hi):
         index, errors, S, seeds = _group_inputs(plan, g_lo, g_hi)
-        outcomes = decode_group(
+        result = decode_group(
             plan.decoder, index, S, plan.effective_iter_max, thresholds=plan.thresholds, tie_seeds=seeds
         )
-        records += map(_record, outcomes, errors)
-    return records
+        exact = result.success & result.recovers(errors)
+        columns.append((~exact, result.success & ~exact, result.iterations, result.ops))
+    return [np.concatenate(column) for column in zip(*columns)]
 
 
 def _chunks(total: int, size: int):
@@ -322,32 +318,28 @@ def run_sim(plan: SimPlan) -> SimReport:
     in index order and the run stops at the exact trial where
     ``target_failures`` is reached (or after ``max_trials``).
     """
-    profile = checked_profile(plan)
+    profile = checked_profile(plan, stacklevel=3)
     start = time.perf_counter()
 
-    trials = failures = miscorrections = 0
-    iter_sum = 0
+    trials = failures = miscorrections = iter_sum = 0
     op_sums = [0, 0, 0, 0]
-    done = False
     gen = _ordered_chunk_results(plan, _run_chunk)
-    for chunk in gen:
-        for rec in chunk:
-            fail, misc, iters, *ops = rec
-            trials += 1
-            failures += int(fail)
-            miscorrections += int(misc)
-            iter_sum += iters
-            for k in range(4):
-                op_sums[k] += ops[k]
-            if failures >= plan.target_failures:
-                done = True
-                break
-        if done:
+    for failed, miscorrected, iterations, ops in gen:
+        so_far = np.cumsum(failed)
+        stop = failed.size
+        if failures + int(so_far[-1]) >= plan.target_failures:
+            # the run ends at the trial that meets the target
+            stop = int(np.searchsorted(so_far, plan.target_failures - failures)) + 1
+        trials += stop
+        failures += int(so_far[stop - 1])
+        miscorrections += int(np.count_nonzero(miscorrected[:stop]))
+        iter_sum += int(iterations[:stop].sum())
+        op_sums = [a + b for a, b in zip(op_sums, ops[:stop].sum(axis=0).tolist())]
+        if failures >= plan.target_failures:
             gen.close()
             break
 
     ci_low, ci_high = clopper_pearson(failures, trials)
-    names = ("counter_init_adds", "argmax_comparisons", "syndrome_bit_updates", "counter_update_touches")
     return SimReport(
         n=profile.n,
         r=profile.r,
@@ -363,7 +355,7 @@ def run_sim(plan: SimPlan) -> SimReport:
         ci_low=ci_low,
         ci_high=ci_high,
         mean_iterations=iter_sum / trials,
-        mean_op_counts={name: op_sums[k] / trials for k, name in enumerate(names)},
+        mean_op_counts={name: total / trials for name, total in OpCounts(*op_sums).as_dict().items()},
         master_seed=plan.master_seed,
         seed_scheme=SEED_SCHEME,
         source_desc=plan.source.describe(),
@@ -400,11 +392,12 @@ def _run_diff_chunk(plan: SimPlan, lo: int, hi: int):
         index, _, S, seeds = _group_inputs(plan, g_lo, g_hi)
         naive = decode_group("bfmax-naive", index, S, plan.effective_iter_max, tie_seeds=seeds)
         sparse = decode_group("bfmax-sparse", index, S, plan.effective_iter_max, tie_seeds=seeds)
-        for i, (a, b, seed) in enumerate(zip(naive, sparse, seeds)):
-            if a.success != b.success or a.flip_log != b.flip_log:
-                mismatches.append(
-                    Mismatch(g_lo + i, seed, a.success, b.success, a.flip_log, b.flip_log)
-                )
+        if naive.same_flips(sparse):
+            continue
+        pairs = zip(naive.success.tolist(), sparse.success.tolist(), naive.flip_logs(), sparse.flip_logs())
+        for i, (seed, (a_ok, b_ok, a_log, b_log)) in enumerate(zip(seeds, pairs)):
+            if a_ok != b_ok or a_log != b_log:
+                mismatches.append(Mismatch(g_lo + i, seed, a_ok, b_ok, a_log, b_log))
     return mismatches
 
 
@@ -414,7 +407,7 @@ def differential_campaign(plan: SimPlan) -> DifferentialReport:
     Any divergence in outcome or flip history is reported; the expected
     result is zero mismatches.
     """
-    checked_profile(plan)
+    checked_profile(plan, stacklevel=3)
     mismatches: list[Mismatch] = []
     for chunk in _ordered_chunk_results(plan, _run_diff_chunk):
         mismatches.extend(chunk)

@@ -201,9 +201,11 @@ def recompute_counters(H: SparseParityCheck, s_bits: np.ndarray) -> np.ndarray:
 
 def faulty_sparse_group(index, syndromes, iter_max, rngs, *, incremental, **kwargs):
     """Deliberately broken group decoder for negative-control runs: the
-    sparse side burns one tie-break draw per trial, desynchronizing it from
-    the naive side. Tests monkeypatch it over
-    ``bfkit.decoders.bfmax_decode_group``."""
+    sparse side burns one 32-bit tie-break draw per trial, desynchronizing
+    it from the naive side (each generator then holds the burned word's
+    other half, which the group kernel reads first). Tests monkeypatch it
+    over ``bfkit.decoders.bfmax_decode_group``; it returns the kernel's
+    ``GroupResult``."""
     if incremental:
         for rng in rngs:
             rng.integers(0, 2)

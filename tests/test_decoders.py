@@ -22,6 +22,7 @@ from bfkit.decoders import (
     bf_decode,
     bfmax_decode_naive,
     bfmax_decode_sparse,
+    decode,
     predicted_op_count,
 )
 from bfkit.rng import make_rng
@@ -152,6 +153,15 @@ def test_bf_config_validation(toy):
         bf_decode(toy, zero_syndrome(toy), BfConfig.constant(1, toy.v + 1))
     with pytest.warns(UserWarning, match="ceil"):
         bf_decode(toy, zero_syndrome(toy), BfConfig.constant(1, 1))
+
+
+def test_low_threshold_warning_names_the_caller(toy):
+    # the warning points at the line that called the public entry point
+    with pytest.warns(UserWarning, match="ceil") as record:
+        bf_decode(toy, zero_syndrome(toy), BfConfig.constant(1, 1))
+    with pytest.warns(UserWarning, match="ceil") as again:
+        decode("bf", toy, zero_syndrome(toy), 1, thresholds=(1,))
+    assert [w.filename for w in list(record) + list(again)] == [__file__, __file__]
 
 
 # -- single-flip decoders ------------------------------------------------------------

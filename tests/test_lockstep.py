@@ -5,6 +5,8 @@ grouped."""
 import numpy as np
 import pytest
 
+from bfkit import codes as codes_module
+from bfkit import decoders
 from bfkit.codes import CodeIndex, QcSeedSpec, generate_qc, random_regular_code, sample_error, syndrome
 from bfkit.decoders import (
     DECODERS,
@@ -16,10 +18,16 @@ from bfkit.decoders import (
     decode,
     decode_group,
 )
-from bfkit.rng import make_rng
+from bfkit.rng import make_rng, make_rngs
 from bfkit.simulate import FreshQcSource, SimPlan, run_sim
 
-from helpers import bf_decode_dense_reference, bfmax_reference, dense_matrix, toy_code_from_columns
+from helpers import (
+    bf_decode_dense_reference,
+    bfmax_reference,
+    dense_matrix,
+    recompute_counters,
+    toy_code_from_columns,
+)
 
 TRIALS = 24
 KINDS = ["fresh-qc", "shared-qc", "random-regular", "ragged"]
@@ -47,6 +55,52 @@ def test_integers_zero_one_leaves_stream_untouched():
         assert drawn.bit_generator.state == untouched.bit_generator.state
 
 
+def _in_band(word: int, m: int) -> bool:
+    """Whether numpy's bounded rule rejects ``word`` for the range m."""
+    return (word * m) & (2**32 - 1) < (2**32 - m) % m
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
+def test_tie_words_draw_as_integers(held):
+    # Each row's picks equal integers(0, m) on a twin of its generator, for
+    # ranges whose rejection band holds a quarter to a half of all words,
+    # for rows that use up their two read-ahead words many times over, and
+    # (held-half) for generators that hold a uint32 half of an earlier draw.
+    seeds = [3, 17, 2**63 + 5, 99]
+    twins = make_rngs(seeds)
+    rngs = make_rngs(seeds)
+    if held:
+        for rng in rngs + twins:
+            rng.integers(0, 2)
+        assert all(rng.bit_generator.state["has_uint32"] for rng in rngs)
+    ties = decoders._TieWords(rngs, 2)
+    assert ties.words.shape == (4, 3)
+    pick = make_rng(8)
+    banded = 0
+    for step in range(60):
+        rows = np.flatnonzero(pick.integers(0, 2, len(seeds)))
+        sizes = pick.choice([2, 3, 7, 149, 2**31 + 1, 3 * 2**30, 2**32 - 1], rows.size)
+        banded += sum(
+            _in_band(int(ties.words[b, min(ties.next[b], ties.words.shape[1] - 1)]), int(m))
+            for b, m in zip(rows, sizes)
+        )
+        got = ties.draw(rows, sizes)
+        assert got.tolist() == [int(twins[b].integers(0, m)) for b, m in zip(rows, sizes)]
+    assert banded >= 5
+
+
+def test_tie_words_made_up_rejected_word():
+    # a made-up word in the rejection band, followed by three words of the
+    # row's own stream: the helper redraws from the next word, as numpy does
+    m = 2**31 + 1
+    stream = make_rng(41).integers(0, 2**32, 3, dtype=np.uint64).tolist()
+    rejected = next(u for u in range(2**32 - 1, 0, -1) if _in_band(u, m))
+    ties = decoders._TieWords(make_rngs([41, 42]), 4)
+    ties.words[0, 1:] = [rejected] + stream
+    expected = next((u * m) >> 32 for u in stream if not _in_band(u, m))
+    assert ties.draw(np.array([0]), np.array([m])).tolist() == [expected]
+
+
 @pytest.mark.filterwarnings("ignore:threshold below")
 @pytest.mark.parametrize("decoder", DECODERS)
 @pytest.mark.parametrize("kind", KINDS)
@@ -63,7 +117,7 @@ def test_group_equals_one_by_one(kind, decoder):
     S = np.stack([syndrome(H, e).bits for H, e in zip(codes, errors)])
     group = decode_group(
         decoder, CodeIndex(codes), S, iter_max, thresholds=thresholds, tie_seeds=seeds
-    )
+    ).outcomes()
     for H, e, seed, out in zip(codes, errors, seeds, group):
         s = syndrome(H, e)
         if decoder == "bf":
@@ -98,6 +152,18 @@ def test_group_syndromes_equal_one_by_one(kind):
     assert S.dtype == np.uint8
     for H, e, bits in zip(codes, errors, S):
         np.testing.assert_array_equal(bits, syndrome(H, e).bits)
+
+
+def test_unsatisfied_counts_in_row_slices(monkeypatch):
+    # quasi-cyclic counters gathered one row at a time equal the whole group's
+    codes, t = _codes("fresh-qc")
+    index = CodeIndex(codes)
+    rng = make_rng(5)
+    S = index.syndromes(np.stack([sample_error(H.n, t, rng).support for H in codes]))
+    whole = index.unsatisfied_counts(S)
+    np.testing.assert_array_equal(whole, [recompute_counters(H, s) for H, s in zip(codes, S)])
+    monkeypatch.setattr(codes_module, "_GATHER_BYTES", 1)
+    np.testing.assert_array_equal(index.unsatisfied_counts(S), whole)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -144,14 +210,44 @@ def test_qc_tables_are_built_on_first_use():
             assert H.col_supports[b * 149 + c].tolist() == expected
 
 
+@pytest.mark.parametrize("tie_words", [decoders._TIE_WORDS, 2], ids=["read-ahead", "refilled"])
+@pytest.mark.parametrize("incremental", [True, False], ids=["sparse", "naive"])
+def test_group_of_128_equals_reference(incremental, tie_words, monkeypatch):
+    # 128 fresh-key trials of weights 1..12 leave the group at different
+    # iterations, some fail; with two read-ahead words every row that ties
+    # more than twice reads on from its generator mid-decode
+    monkeypatch.setattr(decoders, "_TIE_WORDS", tie_words)
+    seeds = [int(x) for x in make_rng(12).integers(0, 2**63, 128)]
+    codes = [generate_qc(QcSeedSpec(149, 5, 900 + k)) for k in range(128)]
+    rng = make_rng(13)
+    errors = [sample_error(H.n, int(rng.integers(1, 13)), rng) for H in codes]
+    S = np.stack([syndrome(H, e).bits for H, e in zip(codes, errors)])
+    result = decoders.bfmax_decode_group(CodeIndex(codes), S, 12, make_rngs(seeds), incremental=incremental)
+    outcomes = result.outcomes()
+    assert len(set(result.iterations.tolist())) > 5 and not result.success.all()
+    for H, e, seed, out in zip(codes, errors, seeds, outcomes):
+        ok, iterations, flips, ops = bfmax_reference(
+            H, syndrome(H, e).bits, 12, make_rng(seed), incremental=incremental
+        )
+        assert (out.success, out.iterations_used, list(out.flip_log), out.op_counts) == (
+            ok, iterations, flips, ops
+        )
+    # rows padded to weight 12 by repeating a position, which counts once
+    supports = np.stack([np.pad(e.support, (0, 12 - e.weight), mode="edge") for e in errors])
+    exact = [out.success and out.error_estimate == e for out, e in zip(outcomes, errors)]
+    assert (result.success & result.recovers(supports)).tolist() == exact
+    assert 0 < sum(exact) < 128
+
+
 @pytest.mark.parametrize("decoder", DECODERS)
 def test_report_independent_of_chunks_groups_and_workers(decoder):
-    # 90 trials span whole and partial lockstep groups at every chunk size
+    # 150 trials span one whole and one partial lockstep group of 128 at
+    # chunk size 512, and groups of one at chunk size 1
     thresholds = (3,) * 8 if decoder == "bf" else None
     reports = [
         run_sim(SimPlan(
             source=FreshQcSource(149, 5), t=8, decoder=decoder, thresholds=thresholds,
-            max_trials=90, master_seed=31, chunk_size=chunk, worker_count=workers,
+            max_trials=150, master_seed=31, chunk_size=chunk, worker_count=workers,
         )).deterministic_fields()
         for chunk in (1, 7, 512)
         for workers in (1, 2)

@@ -140,7 +140,9 @@ def test_error_estimate_is_odd_count_positions_of_flip_log(decoder):
     rng = make_rng(6)
     errors = np.stack([sample_distinct(rng, 62, 3) for _ in seeds])
     thresholds = (3,) * 12 if decoder == "bf" else None
-    outcomes = decode_group(decoder, index, index.syndromes(errors), 12, thresholds=thresholds, tie_seeds=seeds)
+    outcomes = decode_group(
+        decoder, index, index.syndromes(errors), 12, thresholds=thresholds, tie_seeds=seeds
+    ).outcomes()
     assert not all(o.success for o in outcomes)
     # successes whose logs flip a position more than once
     assert any(o.success and max(Counter(o.flip_log).values()) > 1 for o in outcomes)

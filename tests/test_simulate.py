@@ -120,6 +120,15 @@ def test_bf_decoder_plan():
     assert report.decoder == "bf"
 
 
+def test_low_threshold_warning_names_the_caller():
+    # run_sim and differential_campaign warn once, at the line that called them
+    plan = toy_plan(decoder="bf", thresholds=(1, 1), max_trials=300)
+    for entry in (run_sim, differential_campaign):
+        with pytest.warns(UserWarning, match="ceil") as record:
+            entry(plan)
+        assert [w.filename for w in record] == [__file__]
+
+
 def test_file_source(tmp_path):
     from bfkit.codes import save_code
 
