@@ -27,6 +27,7 @@ from .decoders import (
     BfConfig,
     DecodeOutcome,
     DecoderState,
+    GroupResult,
     OpCounts,
     argmax_scan,
     bf_decode,

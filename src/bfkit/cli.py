@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
@@ -226,9 +225,7 @@ def _cmd_simulate(args) -> int:
         worker_count=_workers(args),
         chunk_size=args.chunk_size,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # run_sim repeats the check, warnings included
-        profile = checked_profile(plan)
+    profile = checked_profile(plan)
     _claim_out(args.out)
     report = run_sim(plan)
 

@@ -245,14 +245,17 @@ class CodeIndex:
         column c of code i, as in a group's flattened (k, n) counters."""
         if self._table is not None:
             return self._table.column_table[cols % self.n]
-        return self._wrap[self._col_base[cols // self.r] + cols[..., None]]
+        # a scalar column broadcasts against its v checks as it is
+        return self._wrap[self._col_base[cols // self.r] + (cols if cols.ndim == 0 else cols[..., None])]
 
     def row_columns(self, rows: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
-        """Columns meeting each check of the (k, m) ``rows``, concatenated in
-        row order, and each row's length (one int for quasi-cyclic codes,
-        whose rows all have the same length)."""
+        """Columns meeting each check of the (k, m) ``rows`` (or of 1-D
+        ``rows`` of an index of one code), concatenated in row order, and
+        each row's length (one int for quasi-cyclic codes, whose rows all
+        have the same length)."""
         if self._table is None:
-            return self._wrap[rows[..., None] + self._row_base[:, None, :]].ravel(), self.row_length
+            base = self._row_base if rows.ndim == 1 else self._row_base[:, None, :]
+            return self._wrap[rows[..., None] + base].ravel(), self.row_length
         H = self._table
         rows = rows.ravel()
         lengths = H.row_weights[rows]
