@@ -14,17 +14,22 @@ Three decoders, one counter definition:
   same tie-break stream their flip histories are bit-for-bit equal.
 
 Every decoder advances a group of trials in lockstep on (B, n) counter and
-(B, r) syndrome arrays over a ``CodeIndex``, and a single decode is a group
-of one. ``decode_group`` is the one place that runs a decoder by its name
-in ``DECODERS``. It returns the group's results as arrays, a
-``GroupResult``: success and iteration counts, every flip as a (trial,
-position) pair in the order made, and each trial's op counts. Only callers
-that want objects build ``DecodeOutcome``s from it: ``decode``,
-``bf_decode``, ``bfmax_decode_naive`` and ``bfmax_decode_sparse`` are its
-groups of one. A single-flip trial keeps its own tie-break generator, so its
-flip log does not depend on the group it ran in. A group of more than one
-reads each generator's words ahead once and draws every tied row's pick in
-one pass, bit for bit as ``Generator.integers`` would.
+(B, r) syndrome arrays over a ``CodeIndex``. ``decode_group`` is the one
+place that runs a decoder by its name in ``DECODERS``. It returns the
+group's results as arrays, a ``GroupResult``: success and iteration counts,
+every flip as a (trial, position) pair in the order made, and each trial's
+op counts. ``decode`` and ``bf_decode`` are its groups of one. A
+single-flip trial breaks ties from its own seeded stream, so its flip log
+does not depend on the group it ran in: the group reads each stream's words
+ahead once and draws every tied row's pick in one pass, bit for bit as
+``Generator.integers`` would.
+
+``bfmax_decode_naive`` and ``bfmax_decode_sparse`` decode one syndrome in
+their own loop over (r,) syndrome and (n,) counter arrays, drawing ties
+with the generator they are given, and report each iteration to an
+``on_iteration`` hook. They share no logic with the lockstep kernel, so
+the tests that compare a group with its trials decoded one by one compare
+two implementations.
 
 The counter of position i is the number of unsatisfied parity checks it
 participates in; it always lies in [0, v]. Decoding stops when the working
@@ -46,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .codes import CodeIndex, ErrorPattern, SparseParityCheck, Syndrome
-from .rng import make_rngs
+from .rng import bit_generators
 
 _COUNTER_DTYPE = np.int16
 # Counter move along a flipped check's row: -1 once satisfied, +1 once unsatisfied.
@@ -99,25 +104,19 @@ class OpCounts:
 
 class DecoderState:
     """A single-flip decode's working state after an iteration, as an
-    ``on_iteration`` hook sees it: the code ``H``, the working ``syndrome``
-    and ``counters`` (live arrays; copy them to keep them) and the op
-    counts so far (``ops``). Each is read from the decoder only on access."""
+    ``on_iteration`` hook sees it: the code ``H``, the working (r,)
+    ``syndrome`` and (n,) ``counters`` (live arrays; copy them to keep them)
+    and the op counts so far (``ops``, computed on access)."""
 
-    def __init__(self, H: SparseParityCheck):
+    def __init__(self, H: SparseParityCheck, incremental: bool):
         self.H = H
-        self._now = None  # the group-of-one hook arguments of the last iteration
-
-    @property
-    def syndrome(self) -> np.ndarray:
-        return self._now[1][0]
-
-    @property
-    def counters(self) -> np.ndarray:
-        return self._now[0][0]
+        self.syndrome = self.counters = None
+        self._incremental = incremental
+        self._iterations = self._touches = 0
 
     @property
     def ops(self) -> OpCounts:
-        return self._now[2](0)
+        return _ops(self.H.index, self._incremental, self._iterations, self._touches)
 
 
 @dataclass(frozen=True)
@@ -187,8 +186,6 @@ class GroupResult:
     def flip_logs(self) -> list[tuple[int, ...]]:
         """Each trial's flip log."""
         count = self.success.size
-        if count == 1:
-            return [tuple(self.flip_positions.tolist())]
         # a stable sort by trial keeps each trial's flips in iteration order
         flat = self.flip_positions[np.argsort(self.flip_trials, kind="stable")].tolist()
         ends = np.cumsum(np.bincount(self.flip_trials, minlength=count)).tolist()
@@ -275,8 +272,7 @@ def _bf_group(index: CodeIndex, syndromes: np.ndarray, thresholds: Sequence[int]
     the (B, r) ``syndromes`` in trial b's code of ``index``, one iteration
     per threshold. An iteration's flips are logged in position order."""
     count, r = syndromes.shape
-    if r != index.r:
-        raise ValueError(f"syndrome length {r} does not match r={index.r}")
+    _check_inputs(index, r, len(thresholds))
     n, v = index.n, index.v
     if any(b > v for b in thresholds):
         raise ValueError(f"threshold exceeds column weight v={v}")
@@ -356,18 +352,51 @@ def _bfmax_decode(
     incremental: bool,
     on_iteration: IterationHook | None,
 ) -> DecodeOutcome:
-    """One single-flip decode: a group of one."""
-    hook = None
-    if on_iteration is not None:
-        state = DecoderState(H)
-
-        def hook(*now):
-            state._now = now
+    """One single-flip decode, one trial at a time: the (r,) syndrome and
+    (n,) counters of ``H.index``, ties drawn with ``rng.integers``."""
+    index = H.index
+    _check_inputs(index, s.bits.size, iter_max)
+    n, v, w = index.n, index.v, index.row_length
+    syn = s.bits.astype(np.uint8)
+    # the syndrome weight is tracked, so liveness needs no scan of syn
+    weight = np.count_nonzero(syn)
+    counters = index.unsatisfied_counts(syn[None])[0] if incremental else None
+    state = DecoderState(H, incremental) if on_iteration is not None else None
+    flips = []
+    touches = 0  # counter updates, tallied only for ragged codes
+    for it in range(1, iter_max + 1):
+        if not weight:
+            break
+        if not incremental:
+            counters = index.unsatisfied_counts(syn[None])[0]
+        at = (counters == counters.max()).nonzero()[0]
+        # a single maximum draws nothing: integers(0, 1) would not move the stream
+        flipped = at[rng.integers(at.size)] if at.size > 1 else at[0]
+        flips.append(flipped)
+        checks = index.column_checks(flipped)
+        now = syn[checks]
+        now ^= 1
+        syn[checks] = now
+        weight += 2 * np.count_nonzero(now) - v
+        if incremental:
+            cols, lengths = index.row_columns(checks)
+            if w is None:
+                touches += int(lengths.sum())
+            np.add.at(counters, cols, _STEP[now].repeat(lengths))
+        if state is not None:
+            state.syndrome, state.counters = syn, counters
+            state._iterations, state._touches = it, touches
             on_iteration(state)
+    ops = _ops(index, incremental, len(flips), touches)
+    return DecodeOutcome(not weight, len(flips), tuple(map(int, flips)), ops, n)
 
-    return bfmax_decode_group(
-        H.index, s.bits[None, :], iter_max, [rng], incremental=incremental, on_iteration=hook,
-    ).outcomes()[0]
+
+def _check_inputs(index: CodeIndex, r: int, iter_max: int) -> None:
+    """Reject a syndrome length other than the code's r, or a negative budget."""
+    if r != index.r:
+        raise ValueError(f"syndrome length {r} does not match r={index.r}")
+    if iter_max < 0:
+        raise ValueError("iter_max must be non-negative")
 
 
 def _op_table(n: int, v: int, w: int | None, incremental: bool, iterations, touches) -> np.ndarray:
@@ -385,39 +414,37 @@ def _op_table(n: int, v: int, w: int | None, incremental: bool, iterations, touc
     return ops
 
 
-class _TieWords:
-    """The tie-break draws of a group's generators, read ahead.
+def _ops(index: CodeIndex, incremental: bool, iterations: int, touches: int) -> OpCounts:
+    """``_op_table`` of one trial in one code, as ``OpCounts``."""
+    ops = _op_table(index.n, index.v, index.row_length, incremental, iterations, touches)
+    return OpCounts(*ops.tolist())
 
-    ``draw(rows, sizes)`` gives ``rngs[b].integers(0, m)`` for each row b of
-    ``rows`` and its m in ``sizes``, bit for bit. It reads numpy's uint32
-    stream: first a half a generator still holds from an earlier 32-bit
-    draw, then the halves of its 64-bit outputs, low half first. Each row's
-    words are read ``count`` at a time with ``random_raw``, and numpy's
-    bounded rule ``(u * m) >> 32`` runs on every row at once (Lemire, "Fast
-    random integer generation in an interval", 2019). A row whose product
-    falls in the rejection band redraws word by word, as numpy does, and a
-    row that uses up its words reads the next ones from its generator.
+
+class _TieWords:
+    """The tie-break draws of a group's streams, read ahead.
+
+    Row b's stream is ``make_rng(seeds[b])``, and ``draw(rows, sizes)``
+    gives its next ``integers(0, m)`` for each row b of ``rows`` and its m
+    in ``sizes``, bit for bit. It reads numpy's uint32 stream: the halves
+    of the 64-bit outputs, low half first. Each row's words are read
+    ``count`` at a time with ``random_raw``, and numpy's bounded rule
+    ``(u * m) >> 32`` runs on every row at once (Lemire, "Fast random
+    integer generation in an interval", 2019). A row whose product falls in
+    the rejection band redraws word by word, as numpy does, and a row that
+    uses up its words reads the next ones from its stream.
     """
 
-    def __init__(self, rngs: Sequence[np.random.Generator], count: int):
-        self._bits = [rng.bit_generator for rng in rngs]
+    def __init__(self, seeds: Sequence[int], count: int):
+        self._bits = bit_generators(seeds)
         self._raw = max(1, (count + 1) // 2)
-        raw = np.stack([bits.random_raw(self._raw) for bits in self._bits]).astype("<u8", copy=False)
-        # column 0 holds a half a generator held; the read words follow it
-        self.words = np.zeros((len(rngs), 1 + raw.shape[1] * 2), dtype=np.uint32)
-        self.words[:, 1:] = raw.view("<u4")
-        self.next = np.ones(len(rngs), dtype=np.intp)  # each row's next word
-        for b, bits in enumerate(self._bits):
-            state = bits.state
-            if "has_uint32" not in state:
-                raise ValueError("tie-break generators must split 64-bit outputs into uint32 halves")
-            if state["has_uint32"]:
-                self.words[b, 0], self.next[b] = state["uinteger"], 0
+        raw = np.stack([bits.random_raw(self._raw) for bits in self._bits])
+        self.words = raw.astype("<u8", copy=False).view("<u4")
+        self.next = np.zeros(len(self._bits), dtype=np.intp)  # each row's next word
 
     def _refill(self, b: int) -> None:
-        """Row b's next words, read from its generator."""
-        self.words[b, 1:] = self._bits[b].random_raw(self._raw).astype("<u8", copy=False).view("<u4")
-        self.next[b] = 1
+        """Row b's next words, read from its stream."""
+        self.words[b] = self._bits[b].random_raw(self._raw).astype("<u8", copy=False).view("<u4")
+        self.next[b] = 0
 
     def _word(self, b: int) -> int:
         if self.next[b] == self.words.shape[1]:
@@ -449,31 +476,25 @@ def bfmax_decode_group(
     index: CodeIndex,
     syndromes: np.ndarray,
     iter_max: int,
-    rngs: Sequence[np.random.Generator],
+    tie_seeds: Sequence[int],
     *,
     incremental: bool,
-    on_iteration: Callable[[np.ndarray, np.ndarray, Callable[[int], OpCounts]], None] | None = None,
 ) -> GroupResult:
     """Single-flip decoding of a group of trials in lockstep.
 
     Row b of the (B, r) ``syndromes`` is decoded in trial b's code of
-    ``index``, breaking ties with ``rngs[b]``; its outcome, flip log and op
-    counts equal those of decoding it alone. ``incremental`` picks the
-    counter strategy: compute once and update the rows a flip touches, or
-    recount every iteration. A trial whose syndrome is zero leaves the
-    group. After each iteration ``on_iteration`` gets the
-    (k, n) counters and (k, r) syndromes of the k trials still in the
-    group, in group order, and a function giving row i's op counts so far.
-
-    A group of one draws its ties with ``Generator.integers``. A larger
-    group reads its generators ahead (``_TieWords``), so it leaves them
-    past the words it read.
+    ``index``, breaking ties with the stream of ``make_rng(tie_seeds[b])``;
+    its outcome, flip log and op counts equal those of decoding it alone
+    with that generator. ``incremental`` picks the counter strategy:
+    compute once and update the rows a flip touches, or recount every
+    iteration. A trial whose syndrome is zero leaves the group. Every
+    group, one trial or many, takes the same path: the streams are read
+    ahead (``_TieWords``) and every tied row draws in one pass.
     """
     count, r = syndromes.shape
-    if r != index.r:
-        raise ValueError(f"syndrome length {r} does not match r={index.r}")
-    if iter_max < 0:
-        raise ValueError("iter_max must be non-negative")
+    _check_inputs(index, r, iter_max)
+    if len(tie_seeds) != count:
+        raise ValueError(f"{len(tie_seeds)} tie seeds for {count} syndromes")
     n, v = index.n, index.v
     w = index.row_length  # None when row lengths differ
     # State rows: the trials still in the group, with their syndromes,
@@ -482,91 +503,60 @@ def bfmax_decode_group(
     S = syndromes.astype(np.uint8)
     touches = np.zeros(count, dtype=np.int64)
     counters = index.unsatisfied_counts(S) if incremental else None
-    ties = _TieWords(rngs, min(iter_max, _TIE_WORDS)) if count > 1 else None
+    ties = _TieWords(tie_seeds, min(iter_max, _TIE_WORDS))
     # Per group trial, filled in as it leaves.
     iterations = np.zeros(count, dtype=np.int64)
     touched = np.zeros(count, dtype=np.int64)
     flips = []  # per iteration: (trials that flipped, their positions)
-    alone = []  # then, once one trial is left, its position per iteration
     # where each state row begins in the flattened counters and syndromes
     starts, syndrome_starts = trials * n, trials[:, None] * r
-    # A group of one tracks its syndrome weight and scans S only once that
-    # is 0 (a single decode at r=2003 is about 9% quicker than with the
-    # scan); for more trials one scan is cheaper than updating their weights.
-    weight = np.count_nonzero(S) if count == 1 else None
     for it in range(1, iter_max + 1):
-        if not weight:
-            live = S.max(axis=1).view(np.bool_)  # bits are 0/1; max is the quicker reduction
-            if np.count_nonzero(live) < live.size:
-                iterations[trials[~live]] = it - 1
-                touched[trials[~live]] = touches[~live]
-                trials, S, touches = trials[live], S[live], touches[live]
-                if not trials.size:
-                    break
-                index = index.select(live)
-                if incremental:
-                    counters = counters[live]
-                starts, syndrome_starts = starts[:trials.size], syndrome_starts[:trials.size]
+        live = S.max(axis=1).view(np.bool_)  # bits are 0/1; max is the quicker reduction
+        if np.count_nonzero(live) < live.size:
+            iterations[trials[~live]] = it - 1
+            touched[trials[~live]] = touches[~live]
+            trials, S, touches = trials[live], S[live], touches[live]
+            if not trials.size:
+                break
+            index = index.select(live)
+            if incremental:
+                counters = counters[live]
+            starts, syndrome_starts = starts[:trials.size], syndrome_starts[:trials.size]
         if not incremental:
             counters = index.unsatisfied_counts(S)
         k = trials.size
-        flat_counters = counters.reshape(-1)
 
         # Every maximum of every row, in row order; a row with several draws
         # one of them from its own stream. A single winner skips the draw:
         # integers(0, 1) would not move the stream. ``flipped`` numbers the
-        # flips in the flattened counters. The k == 1 cases below give the
-        # general result with fewer numpy calls (a lone row needs no row
-        # boundaries and flips one scalar column); without them a single
-        # decode, a group of one, takes about 1.4x as long.
-        if k == 1:
-            at = (flat_counters == flat_counters.max()).nonzero()[0]
-            first = 0
-            if at.size > 1 and ties is None:
-                first = rngs[0].integers(at.size)
-            elif at.size > 1:
-                first = ties.draw(trials, np.array([at.size]))[0]
-            flipped, lone_trial = at[first], trials
-            alone.append(flipped)
-        else:
-            at = (counters == counters.max(axis=1, keepdims=True)).ravel().nonzero()[0]
-            ends = np.searchsorted(at, starts + n)
-            choice = np.concatenate([[0], ends[:-1]])  # each row's first maximum
-            sizes = ends - choice
-            tied = np.flatnonzero(sizes > 1)
-            if tied.size:
-                choice[tied] += ties.draw(trials[tied], sizes[tied])
-            flipped = at[choice]
-            flips.append((trials, flipped - starts))
+        # flips in the flattened counters.
+        at = (counters == counters.max(axis=1, keepdims=True)).ravel().nonzero()[0]
+        ends = np.searchsorted(at, starts + n)
+        choice = np.concatenate([[0], ends[:-1]])  # each row's first maximum
+        sizes = ends - choice
+        tied = np.flatnonzero(sizes > 1)
+        if tied.size:
+            choice[tied] += ties.draw(trials[tied], sizes[tied])
+        flipped = at[choice]
+        flips.append((trials, flipped - starts))
 
         checks = index.column_checks(flipped)
-        hit = checks if k == 1 else (checks + syndrome_starts).ravel()
+        hit = (checks + syndrome_starts).ravel()
         flat = S.reshape(-1)
         now = flat[hit]
         now ^= 1
         flat[hit] = now
-        if weight is not None:
-            weight += 2 * np.count_nonzero(now) - v
         if incremental:
             cols, lengths = index.row_columns(checks)
             if w is None:
                 per_trial = lengths.reshape(k, v).sum(axis=1)
                 touches += per_trial
                 pos = np.repeat(starts, per_trial) + cols
-            elif k == 1:
-                pos = cols
             else:
                 pos = (cols.reshape(k, -1) + starts[:, None]).ravel()
-            np.add.at(flat_counters, pos, _STEP[now].repeat(lengths))
-        if on_iteration is not None:
-            on_iteration(
-                counters, S,
-                lambda row: OpCounts(*_op_table(n, v, w, incremental, it, int(touches[row])).tolist()),
-            )
+            np.add.at(counters.reshape(-1), pos, _STEP[now].repeat(lengths))
     iterations[trials] = iter_max
     touched[trials] = touches
-    if alone:
-        flips.append((np.full(len(alone), lone_trial[0]), np.array(alone)))
 
     success = np.ones(count, dtype=bool)
     success[trials] = ~S.any(axis=1)
@@ -592,9 +582,8 @@ def decode_group(
     check_decoder(decoder, iter_max, thresholds)
     if decoder == "bf":
         return _bf_group(index, syndromes, thresholds)
-    rngs = make_rngs(tie_seeds)
     return bfmax_decode_group(
-        index, syndromes, iter_max, rngs, incremental=decoder == "bfmax-sparse"
+        index, syndromes, iter_max, tie_seeds, incremental=decoder == "bfmax-sparse"
     )
 
 

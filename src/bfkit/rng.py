@@ -15,8 +15,9 @@ machines running the same plan must derive identical child seeds.
 A stream is numpy's PCG64 seeded through ``np.random.SeedSequence``
 (``make_rng``), and ``sample_distinct`` consumes its uint32 stream by
 numpy's bounded-integer rule. The group forms (``child_seeds``,
-``make_rngs``, ``sample_distinct_group``) run the same algorithms on arrays
-of seeds and give exactly the scalar forms' seeds, generators and samples.
+``bit_generators``, ``sample_distinct_group``) run the same algorithms on
+arrays of seeds and give exactly the scalar forms' seeds, streams and
+samples.
 """
 
 from __future__ import annotations
@@ -149,17 +150,14 @@ class _SeedState(ISeedSequence):
         return self.state
 
 
-def _bit_generators(seeds: np.ndarray) -> list[np.random.PCG64]:
-    return [np.random.PCG64(_SeedState(state)) for state in _seed_states(seeds)]
-
-
-def make_rngs(seeds) -> list[np.random.Generator]:
-    """``[make_rng(s) for s in seeds]``, hashing every seed in one pass."""
+def bit_generators(seeds) -> list[np.random.PCG64]:
+    """``[make_rng(s).bit_generator for s in seeds]``, hashing every seed in
+    one pass."""
     try:
         seeds = np.asarray(seeds, dtype=np.uint64)
     except OverflowError:  # a seed outside [0, 2**64): numpy seeds it, or rejects it
-        return [make_rng(s) for s in seeds]
-    return [np.random.Generator(bg) for bg in _bit_generators(seeds.ravel())]
+        return [np.random.PCG64(s) for s in seeds]
+    return [np.random.PCG64(_SeedState(state)) for state in _seed_states(seeds.ravel())]
 
 
 # -- sampling ------------------------------------------------------------------
@@ -229,7 +227,7 @@ def sample_distinct_group(seeds, n: int, k: int, times: int = 1) -> np.ndarray:
     if n <= 1 << 32:
         ranges, limits, offsets = _draw_table(n, k, times)
         words = (ranges.size + 1) // 2
-        raw = np.concatenate([bg.random_raw(words) for bg in _bit_generators(seeds)])
+        raw = np.concatenate([bg.random_raw(words) for bg in bit_generators(seeds)])
         u = raw.astype("<u8", copy=False).view("<u4").reshape(count, -1)[:, :ranges.size]
         scaled = ranges * u
         redo = np.flatnonzero(((scaled & _MASK32) < limits).any(axis=1))

@@ -199,17 +199,15 @@ def recompute_counters(H: SparseParityCheck, s_bits: np.ndarray) -> np.ndarray:
     return s_bits[H.col_supports].sum(axis=1, dtype=np.int64)
 
 
-def faulty_sparse_group(index, syndromes, iter_max, rngs, *, incremental, **kwargs):
+def faulty_sparse_group(index, syndromes, iter_max, tie_seeds, *, incremental):
     """Deliberately broken group decoder for negative-control runs: the
-    sparse side burns one 32-bit tie-break draw per trial, desynchronizing
-    it from the naive side (each generator then holds the burned word's
-    other half, which the group kernel reads first). Tests monkeypatch it
+    sparse side breaks ties from perturbed seeds (each with its low bit
+    flipped), desynchronizing it from the naive side. Tests monkeypatch it
     over ``bfkit.decoders.bfmax_decode_group``; it returns the kernel's
     ``GroupResult``."""
     if incremental:
-        for rng in rngs:
-            rng.integers(0, 2)
-    return bfmax_decode_group(index, syndromes, iter_max, rngs, incremental=incremental, **kwargs)
+        tie_seeds = [int(seed) ^ 1 for seed in tie_seeds]
+    return bfmax_decode_group(index, syndromes, iter_max, tie_seeds, incremental=incremental)
 
 
 def bfmax_reference(H: SparseParityCheck, s_bits: np.ndarray, iter_max: int, rng, *,

@@ -231,6 +231,7 @@ def test_sparse_counters_match_recomputation_each_iteration(toy):
 
     def hook(state):
         nonlocal checked
+        assert state.counters.shape == (state.H.n,) and state.syndrome.shape == (state.H.r,)
         np.testing.assert_array_equal(
             state.counters, recompute_counters(state.H, state.syndrome)
         )

@@ -1,6 +1,10 @@
 """Lockstep decoding: a group of trials equals the same trials decoded one
 by one, for every decoder, whatever the code format and however trials are
-grouped."""
+grouped. A group of one takes the lockstep kernel's one path, while
+``bfmax_decode_naive`` and ``bfmax_decode_sparse`` run their own one-trial
+loop, so each comparison checks two implementations, and both are checked
+against ``helpers.bfmax_reference``. Groups draw ties from their seeds;
+the single decodes from generators made from the same seeds."""
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from bfkit.decoders import (
     decode,
     decode_group,
 )
-from bfkit.rng import make_rng, make_rngs
+from bfkit.rng import make_rng
 from bfkit.simulate import FreshQcSource, SimPlan, run_sim
 
 from helpers import (
@@ -60,21 +64,14 @@ def _in_band(word: int, m: int) -> bool:
     return (word * m) & (2**32 - 1) < (2**32 - m) % m
 
 
-@pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
-def test_tie_words_draw_as_integers(held):
-    # Each row's picks equal integers(0, m) on a twin of its generator, for
+def test_tie_words_draw_as_integers():
+    # Each row's picks equal integers(0, m) on a generator of its seed, for
     # ranges whose rejection band holds a quarter to a half of all words,
-    # for rows that use up their two read-ahead words many times over, and
-    # (held-half) for generators that hold a uint32 half of an earlier draw.
+    # and for rows that use up their two read-ahead words many times over.
     seeds = [3, 17, 2**63 + 5, 99]
-    twins = make_rngs(seeds)
-    rngs = make_rngs(seeds)
-    if held:
-        for rng in rngs + twins:
-            rng.integers(0, 2)
-        assert all(rng.bit_generator.state["has_uint32"] for rng in rngs)
-    ties = decoders._TieWords(rngs, 2)
-    assert ties.words.shape == (4, 3)
+    twins = [make_rng(seed) for seed in seeds]
+    ties = decoders._TieWords(seeds, 2)
+    assert ties.words.shape == (4, 2)
     pick = make_rng(8)
     banded = 0
     for step in range(60):
@@ -95,18 +92,21 @@ def test_tie_words_made_up_rejected_word():
     m = 2**31 + 1
     stream = make_rng(41).integers(0, 2**32, 3, dtype=np.uint64).tolist()
     rejected = next(u for u in range(2**32 - 1, 0, -1) if _in_band(u, m))
-    ties = decoders._TieWords(make_rngs([41, 42]), 4)
-    ties.words[0, 1:] = [rejected] + stream
+    ties = decoders._TieWords([41, 42], 4)
+    ties.words[0] = [rejected] + stream
     expected = next((u * m) >> 32 for u in stream if not _in_band(u, m))
     assert ties.draw(np.array([0]), np.array([m])).tolist() == [expected]
 
 
 @pytest.mark.filterwarnings("ignore:threshold below")
 @pytest.mark.parametrize("decoder", DECODERS)
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + ["fresh-qc-ones"])
 def test_group_equals_one_by_one(kind, decoder):
-    codes, t = _codes(kind)
-    rng = make_rng(3 * KINDS.index(kind) + DECODERS.index(decoder))
+    # "-ones" decodes the same trials as groups of one
+    base = kind.removesuffix("-ones")
+    size = 1 if kind != base else TRIALS
+    codes, t = _codes(base)
+    rng = make_rng(3 * KINDS.index(base) + DECODERS.index(decoder))
     # weights up to t + 2 make some trials fail and others stop early
     errors = [sample_error(H.n, int(rng.integers(0, t + 3)), rng) for H in codes]
     iter_max = t + 2
@@ -115,9 +115,14 @@ def test_group_equals_one_by_one(kind, decoder):
     if decoder == "bf":
         thresholds = tuple(rng.integers(1, codes[0].v + 1, iter_max).tolist())
     S = np.stack([syndrome(H, e).bits for H, e in zip(codes, errors)])
-    group = decode_group(
-        decoder, CodeIndex(codes), S, iter_max, thresholds=thresholds, tie_seeds=seeds
-    ).outcomes()
+    group = [
+        out
+        for lo in range(0, TRIALS, size)
+        for out in decode_group(
+            decoder, CodeIndex(codes[lo:lo + size]), S[lo:lo + size], iter_max,
+            thresholds=thresholds, tie_seeds=seeds[lo:lo + size],
+        ).outcomes()
+    ]
     for H, e, seed, out in zip(codes, errors, seeds, group):
         s = syndrome(H, e)
         if decoder == "bf":
@@ -141,6 +146,15 @@ def test_group_equals_one_by_one(kind, decoder):
             alone.success, alone.iterations_used, alone.flip_log, alone.op_counts
         )
         assert out.error_estimate == alone.error_estimate
+
+
+def test_tie_seed_count_must_match_syndromes():
+    codes, t = _codes("shared-qc")
+    rng = make_rng(6)
+    S = np.stack([syndrome(H, sample_error(H.n, t, rng)).bits for H in codes[:3]])
+    for seeds in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match=f"^{len(seeds)} tie seeds for 3 syndromes$"):
+            decode_group("bfmax-sparse", CodeIndex(codes[:3]), S, t, tie_seeds=seeds)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -222,7 +236,7 @@ def test_group_of_128_equals_reference(incremental, tie_words, monkeypatch):
     rng = make_rng(13)
     errors = [sample_error(H.n, int(rng.integers(1, 13)), rng) for H in codes]
     S = np.stack([syndrome(H, e).bits for H, e in zip(codes, errors)])
-    result = decoders.bfmax_decode_group(CodeIndex(codes), S, 12, make_rngs(seeds), incremental=incremental)
+    result = decoders.bfmax_decode_group(CodeIndex(codes), S, 12, seeds, incremental=incremental)
     outcomes = result.outcomes()
     assert len(set(result.iterations.tolist())) > 5 and not result.success.all()
     for H, e, seed, out in zip(codes, errors, seeds, outcomes):

@@ -10,10 +10,10 @@ import bfkit.rng
 from bfkit.codes import CodeIndex, QcSeedSpec, generate_qc, generate_qc_group
 from bfkit.decoders import decode_group
 from bfkit.rng import (
+    bit_generators,
     child_seed,
     child_seeds,
     make_rng,
-    make_rngs,
     sample_distinct,
     sample_distinct_group,
 )
@@ -40,22 +40,21 @@ def test_sample_distinct_equals_pool_oracle():
         assert mine.bit_generator.state == pooled.bit_generator.state, (case, n, k, seed)
 
 
-def test_make_rngs_states_equal_make_rng():
+def test_bit_generators_states_equal_make_rng():
     seeds = EDGE_SEEDS + _random_seeds(5000, 1)
-    for seed, rng in zip(seeds, make_rngs(seeds), strict=True):
-        assert rng.bit_generator.state == make_rng(seed).bit_generator.state, seed
+    for seed, bits in zip(seeds, bit_generators(seeds), strict=True):
+        assert bits.state == make_rng(seed).bit_generator.state, seed
     # the same from a uint64 array, and for a group of one
-    assert make_rngs(np.array(EDGE_SEEDS, dtype=np.uint64))[-1].integers(0, 2**62) == (
-        make_rng(2**64 - 1).integers(0, 2**62)
-    )
-    assert make_rngs([7])[0].bit_generator.state == make_rng(7).bit_generator.state
+    last = np.random.Generator(bit_generators(np.array(EDGE_SEEDS, dtype=np.uint64))[-1])
+    assert last.integers(0, 2**62) == make_rng(2**64 - 1).integers(0, 2**62)
+    assert bit_generators([7])[0].state == make_rng(7).bit_generator.state
 
 
-def test_make_rngs_leaves_other_seeds_to_numpy():
-    rng, = make_rngs([2**70])
-    assert rng.bit_generator.state == make_rng(2**70).bit_generator.state
+def test_bit_generators_leave_other_seeds_to_numpy():
+    bits, = bit_generators([2**70])
+    assert bits.state == make_rng(2**70).bit_generator.state
     with pytest.raises(ValueError):
-        make_rngs([-1])
+        bit_generators([-1])
 
 
 def test_child_seeds_equal_child_seed():
