@@ -24,14 +24,11 @@ from .codes import (
     syndrome,
 )
 from .decoders import (
-    BfConfig,
     DecodeOutcome,
     DecoderState,
     GroupResult,
     OpCounts,
     argmax_scan,
-    bf_decode,
-    bfmax_decode_group,
     bfmax_decode_naive,
     bfmax_decode_sparse,
     decode,

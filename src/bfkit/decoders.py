@@ -14,15 +14,14 @@ Three decoders, one counter definition:
   same tie-break stream their flip histories are bit-for-bit equal.
 
 Every decoder advances a group of trials in lockstep on (B, n) counter and
-(B, r) syndrome arrays over a ``CodeIndex``. ``decode_group`` is the one
-place that runs a decoder by its name in ``DECODERS``. It returns the
+(B, r) syndrome arrays over a ``CodeIndex``. A decoder is reached by its
+name in ``DECODERS``: ``decode_group`` runs it on a group and returns the
 group's results as arrays, a ``GroupResult``: success and iteration counts,
 every flip as a (trial, position) pair in the order made, and each trial's
-op counts. ``decode`` and ``bf_decode`` are its groups of one. A
-single-flip trial breaks ties from its own seeded stream, so its flip log
-does not depend on the group it ran in: the group reads each stream's words
-ahead once and draws every tied row's pick in one pass, bit for bit as
-``Generator.integers`` would.
+op counts. ``decode`` is its group of one. A single-flip trial breaks ties
+from its own seeded stream, so its flip log does not depend on the group it
+ran in: ``rng.GroupDraws`` reads each stream's words ahead and draws every
+tied row's pick in one pass, bit for bit as ``Generator.integers`` would.
 
 ``bfmax_decode_naive`` and ``bfmax_decode_sparse`` decode one syndrome in
 their own loop over (r,) syndrome and (n,) counter arrays, drawing ties
@@ -51,12 +50,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .codes import CodeIndex, ErrorPattern, SparseParityCheck, Syndrome
-from .rng import bit_generators
+from .rng import GroupDraws
 
 _COUNTER_DTYPE = np.int16
 # Counter move along a flipped check's row: -1 once satisfied, +1 once unsatisfied.
 _STEP = np.array([-1, 1], dtype=_COUNTER_DTYPE)
-_MASK32 = (1 << 32) - 1
 # Tie-break words a group reads ahead per trial: one per iteration, up to this many.
 _TIE_WORDS = 64
 
@@ -86,9 +84,6 @@ class OpCounts:
             "counter_update_touches": self.counter_update_touches,
         }
 
-    def snapshot(self) -> "OpCounts":
-        return OpCounts(**self.as_dict())
-
     def weighted_total(self, v: int, iterations: int) -> float:
         """Bit-cost total: comparisons and counter-building adds operate on
         log2(v)-bit values, everything else is unit cost; ``iterations``
@@ -117,30 +112,6 @@ class DecoderState:
     @property
     def ops(self) -> OpCounts:
         return _ops(self.H.index, self._incremental, self._iterations, self._touches)
-
-
-@dataclass(frozen=True)
-class BfConfig:
-    """Iteration budget and per-iteration flip thresholds for ``bf_decode``."""
-
-    iter_max: int
-    thresholds: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.thresholds is None:
-            raise ValueError("bf decoder requires thresholds")
-        if self.iter_max < 0:
-            raise ValueError("iter_max must be non-negative")
-        if len(self.thresholds) != self.iter_max:
-            raise ValueError(
-                f"need {self.iter_max} thresholds, got {len(self.thresholds)}"
-            )
-        if any(b < 1 for b in self.thresholds):
-            raise ValueError("thresholds must be at least 1")
-
-    @classmethod
-    def constant(cls, iter_max: int, b: int) -> "BfConfig":
-        return cls(iter_max, (b,) * iter_max)
 
 
 @dataclass(frozen=True)
@@ -245,18 +216,6 @@ def argmax_scan(
     return i_star, top
 
 
-def bf_decode(H: SparseParityCheck, s: Syndrome, cfg: BfConfig) -> DecodeOutcome:
-    """Out-of-place bit flipping.
-
-    Within one iteration every flip decision uses the counters computed at
-    iteration start; the syndrome is updated per flip but counters are not
-    recomputed until the next iteration. Runs while the syndrome is nonzero
-    and iterations remain; succeeds iff the final syndrome is zero.
-    """
-    warn_low_thresholds(H.v, cfg.thresholds, stacklevel=2)
-    return _bf_group(H.index, s.bits[None, :], cfg.thresholds).outcomes()[0]
-
-
 def warn_low_thresholds(v: int, thresholds: Sequence[int] | None, *, stacklevel: int) -> None:
     """Warn when a ``bf`` threshold lies below ceil(v/2). ``stacklevel`` is
     counted from the caller, as in ``warnings.warn``: 2 names its caller."""
@@ -310,6 +269,99 @@ def _flat(flips: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.nd
         np.concatenate([empty] + [trials for trials, _ in flips]),
         np.concatenate([empty] + [positions for _, positions in flips]),
     )
+
+
+def _bfmax_group(
+    index: CodeIndex,
+    syndromes: np.ndarray,
+    iter_max: int,
+    tie_seeds: Sequence[int],
+    *,
+    incremental: bool,
+) -> GroupResult:
+    """Single-flip decoding of a group of trials in lockstep.
+
+    Row b of the (B, r) ``syndromes`` is decoded in trial b's code of
+    ``index``, breaking ties with the stream of ``make_rng(tie_seeds[b])``;
+    its outcome, flip log and op counts equal those of decoding it alone
+    with that generator. ``incremental`` picks the counter strategy:
+    compute once and update the rows a flip touches, or recount every
+    iteration. A trial whose syndrome is zero leaves the group. Every
+    group, one trial or many, takes the same path: up to ``_TIE_WORDS`` of
+    each stream's words are read ahead (``GroupDraws``) and every tied row
+    draws in one pass.
+    """
+    count, r = syndromes.shape
+    _check_inputs(index, r, iter_max)
+    if len(tie_seeds) != count:
+        raise ValueError(f"{len(tie_seeds)} tie seeds for {count} syndromes")
+    n, v = index.n, index.v
+    w = index.row_length  # None when row lengths differ
+    # State rows: the trials still in the group, with their syndromes,
+    # counters and (ragged codes only) counter-update tallies.
+    trials = np.arange(count)
+    S = syndromes.astype(np.uint8)
+    touches = np.zeros(count, dtype=np.int64)
+    counters = index.unsatisfied_counts(S) if incremental else None
+    ties = GroupDraws(tie_seeds, min(iter_max, _TIE_WORDS))
+    # Per group trial, filled in as it leaves.
+    iterations = np.zeros(count, dtype=np.int64)
+    touched = np.zeros(count, dtype=np.int64)
+    flips = []  # per iteration: (trials that flipped, their positions)
+    # where each state row begins in the flattened counters and syndromes
+    starts, syndrome_starts = trials * n, trials[:, None] * r
+    for it in range(1, iter_max + 1):
+        live = S.max(axis=1).view(np.bool_)  # bits are 0/1; max is the quicker reduction
+        if np.count_nonzero(live) < live.size:
+            iterations[trials[~live]] = it - 1
+            touched[trials[~live]] = touches[~live]
+            trials, S, touches = trials[live], S[live], touches[live]
+            if not trials.size:
+                break
+            index = index.select(live)
+            if incremental:
+                counters = counters[live]
+            starts, syndrome_starts = starts[:trials.size], syndrome_starts[:trials.size]
+        if not incremental:
+            counters = index.unsatisfied_counts(S)
+        k = trials.size
+
+        # Every maximum of every row, in row order; a row with several draws
+        # one of them from its own stream. A single winner skips the draw:
+        # integers(0, 1) would not move the stream. ``flipped`` numbers the
+        # flips in the flattened counters.
+        at = (counters == counters.max(axis=1, keepdims=True)).ravel().nonzero()[0]
+        ends = np.searchsorted(at, starts + n)
+        choice = np.concatenate([[0], ends[:-1]])  # each row's first maximum
+        sizes = ends - choice
+        tied = np.flatnonzero(sizes > 1)
+        if tied.size:
+            choice[tied] += ties.draw(trials[tied], sizes[tied])
+        flipped = at[choice]
+        flips.append((trials, flipped - starts))
+
+        checks = index.column_checks(flipped)
+        hit = (checks + syndrome_starts).ravel()
+        flat = S.reshape(-1)
+        now = flat[hit]
+        now ^= 1
+        flat[hit] = now
+        if incremental:
+            cols, lengths = index.row_columns(checks)
+            if w is None:
+                per_trial = lengths.reshape(k, v).sum(axis=1)
+                touches += per_trial
+                pos = np.repeat(starts, per_trial) + cols
+            else:
+                pos = (cols.reshape(k, -1) + starts[:, None]).ravel()
+            np.add.at(counters.reshape(-1), pos, _STEP[now].repeat(lengths))
+    iterations[trials] = iter_max
+    touched[trials] = touches
+
+    success = np.ones(count, dtype=bool)
+    success[trials] = ~S.any(axis=1)
+    ops = _op_table(n, v, w, incremental, iterations, touched)
+    return GroupResult(n, success, iterations, *_flat(flips), ops)
 
 
 def bfmax_decode_naive(
@@ -420,150 +472,6 @@ def _ops(index: CodeIndex, incremental: bool, iterations: int, touches: int) -> 
     return OpCounts(*ops.tolist())
 
 
-class _TieWords:
-    """The tie-break draws of a group's streams, read ahead.
-
-    Row b's stream is ``make_rng(seeds[b])``, and ``draw(rows, sizes)``
-    gives its next ``integers(0, m)`` for each row b of ``rows`` and its m
-    in ``sizes``, bit for bit. It reads numpy's uint32 stream: the halves
-    of the 64-bit outputs, low half first. Each row's words are read
-    ``count`` at a time with ``random_raw``, and numpy's bounded rule
-    ``(u * m) >> 32`` runs on every row at once (Lemire, "Fast random
-    integer generation in an interval", 2019). A row whose product falls in
-    the rejection band redraws word by word, as numpy does, and a row that
-    uses up its words reads the next ones from its stream.
-    """
-
-    def __init__(self, seeds: Sequence[int], count: int):
-        self._bits = bit_generators(seeds)
-        self._raw = max(1, (count + 1) // 2)
-        raw = np.stack([bits.random_raw(self._raw) for bits in self._bits])
-        self.words = raw.astype("<u8", copy=False).view("<u4")
-        self.next = np.zeros(len(self._bits), dtype=np.intp)  # each row's next word
-
-    def _refill(self, b: int) -> None:
-        """Row b's next words, read from its stream."""
-        self.words[b] = self._bits[b].random_raw(self._raw).astype("<u8", copy=False).view("<u4")
-        self.next[b] = 0
-
-    def _word(self, b: int) -> int:
-        if self.next[b] == self.words.shape[1]:
-            self._refill(b)
-        self.next[b] += 1
-        return int(self.words[b, self.next[b] - 1])
-
-    def draw(self, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """One pick per row of ``rows`` (distinct); each size is at least 2."""
-        for i in np.flatnonzero(self.next[rows] == self.words.shape[1]).tolist():
-            self._refill(int(rows[i]))
-        at = self.next[rows]
-        self.next[rows] = at + 1
-        m = sizes.astype(np.uint64)
-        scaled = self.words[rows, at] * m
-        picks = (scaled >> 32).astype(np.intp)
-        # numpy redraws while the low half lies below (2**32 - m) % m
-        for i in np.flatnonzero((scaled & _MASK32) < (2**32 - m) % m).tolist():
-            b, size = int(rows[i]), int(m[i])
-            limit = (2**32 - size) % size
-            product = self._word(b) * size
-            while product & _MASK32 < limit:
-                product = self._word(b) * size
-            picks[i] = product >> 32
-        return picks
-
-
-def bfmax_decode_group(
-    index: CodeIndex,
-    syndromes: np.ndarray,
-    iter_max: int,
-    tie_seeds: Sequence[int],
-    *,
-    incremental: bool,
-) -> GroupResult:
-    """Single-flip decoding of a group of trials in lockstep.
-
-    Row b of the (B, r) ``syndromes`` is decoded in trial b's code of
-    ``index``, breaking ties with the stream of ``make_rng(tie_seeds[b])``;
-    its outcome, flip log and op counts equal those of decoding it alone
-    with that generator. ``incremental`` picks the counter strategy:
-    compute once and update the rows a flip touches, or recount every
-    iteration. A trial whose syndrome is zero leaves the group. Every
-    group, one trial or many, takes the same path: the streams are read
-    ahead (``_TieWords``) and every tied row draws in one pass.
-    """
-    count, r = syndromes.shape
-    _check_inputs(index, r, iter_max)
-    if len(tie_seeds) != count:
-        raise ValueError(f"{len(tie_seeds)} tie seeds for {count} syndromes")
-    n, v = index.n, index.v
-    w = index.row_length  # None when row lengths differ
-    # State rows: the trials still in the group, with their syndromes,
-    # counters and (ragged codes only) counter-update tallies.
-    trials = np.arange(count)
-    S = syndromes.astype(np.uint8)
-    touches = np.zeros(count, dtype=np.int64)
-    counters = index.unsatisfied_counts(S) if incremental else None
-    ties = _TieWords(tie_seeds, min(iter_max, _TIE_WORDS))
-    # Per group trial, filled in as it leaves.
-    iterations = np.zeros(count, dtype=np.int64)
-    touched = np.zeros(count, dtype=np.int64)
-    flips = []  # per iteration: (trials that flipped, their positions)
-    # where each state row begins in the flattened counters and syndromes
-    starts, syndrome_starts = trials * n, trials[:, None] * r
-    for it in range(1, iter_max + 1):
-        live = S.max(axis=1).view(np.bool_)  # bits are 0/1; max is the quicker reduction
-        if np.count_nonzero(live) < live.size:
-            iterations[trials[~live]] = it - 1
-            touched[trials[~live]] = touches[~live]
-            trials, S, touches = trials[live], S[live], touches[live]
-            if not trials.size:
-                break
-            index = index.select(live)
-            if incremental:
-                counters = counters[live]
-            starts, syndrome_starts = starts[:trials.size], syndrome_starts[:trials.size]
-        if not incremental:
-            counters = index.unsatisfied_counts(S)
-        k = trials.size
-
-        # Every maximum of every row, in row order; a row with several draws
-        # one of them from its own stream. A single winner skips the draw:
-        # integers(0, 1) would not move the stream. ``flipped`` numbers the
-        # flips in the flattened counters.
-        at = (counters == counters.max(axis=1, keepdims=True)).ravel().nonzero()[0]
-        ends = np.searchsorted(at, starts + n)
-        choice = np.concatenate([[0], ends[:-1]])  # each row's first maximum
-        sizes = ends - choice
-        tied = np.flatnonzero(sizes > 1)
-        if tied.size:
-            choice[tied] += ties.draw(trials[tied], sizes[tied])
-        flipped = at[choice]
-        flips.append((trials, flipped - starts))
-
-        checks = index.column_checks(flipped)
-        hit = (checks + syndrome_starts).ravel()
-        flat = S.reshape(-1)
-        now = flat[hit]
-        now ^= 1
-        flat[hit] = now
-        if incremental:
-            cols, lengths = index.row_columns(checks)
-            if w is None:
-                per_trial = lengths.reshape(k, v).sum(axis=1)
-                touches += per_trial
-                pos = np.repeat(starts, per_trial) + cols
-            else:
-                pos = (cols.reshape(k, -1) + starts[:, None]).ravel()
-            np.add.at(counters.reshape(-1), pos, _STEP[now].repeat(lengths))
-    iterations[trials] = iter_max
-    touched[trials] = touches
-
-    success = np.ones(count, dtype=bool)
-    success[trials] = ~S.any(axis=1)
-    ops = _op_table(n, v, w, incremental, iterations, touched)
-    return GroupResult(n, success, iterations, *_flat(flips), ops)
-
-
 def decode_group(
     decoder: str,
     index: CodeIndex,
@@ -582,7 +490,7 @@ def decode_group(
     check_decoder(decoder, iter_max, thresholds)
     if decoder == "bf":
         return _bf_group(index, syndromes, thresholds)
-    return bfmax_decode_group(
+    return _bfmax_group(
         index, syndromes, iter_max, tie_seeds, incremental=decoder == "bfmax-sparse"
     )
 
@@ -596,21 +504,38 @@ def decode(
     thresholds: tuple[int, ...] | None = None,
     tie_seed: int = 0,
 ) -> DecodeOutcome:
-    """``decode_group`` on one syndrome: a group of one."""
-    if decoder == "bf":
-        warn_low_thresholds(H.v, thresholds, stacklevel=2)
-    return decode_group(
+    """``decode_group`` on one syndrome: a group of one.
+
+    ``bf`` is out-of-place bit flipping: every flip decision of an
+    iteration uses the counters computed at its start, and the syndrome is
+    updated per flip, but the counters are not recomputed until the next
+    iteration. It runs while the syndrome is nonzero and iterations remain,
+    and succeeds iff the final syndrome is zero. The single-flip decoders
+    break ties from ``make_rng(tie_seed)``.
+    """
+    result = decode_group(
         decoder, H.index, s.bits[None, :], iter_max, thresholds=thresholds, tie_seeds=[tie_seed]
-    ).outcomes()[0]
+    )
+    if decoder == "bf":  # the inputs are accepted by now
+        warn_low_thresholds(H.v, thresholds, stacklevel=2)
+    return result.outcomes()[0]
 
 
 def check_decoder(decoder: str, iter_max: int, thresholds: tuple[int, ...] | None) -> None:
     """The one rule for a decoder name and its thresholds: ``bf`` needs one
-    threshold per iteration, the single-flip decoders take none."""
+    threshold per iteration, each at least 1, the single-flip decoders take
+    none."""
     if decoder not in DECODERS:
         raise ValueError(f"unknown decoder {decoder!r}; choose from {DECODERS}")
     if decoder == "bf":
-        BfConfig(iter_max, thresholds)  # raises if they do not fit
+        if thresholds is None:
+            raise ValueError("bf decoder requires thresholds")
+        if iter_max < 0:
+            raise ValueError("iter_max must be non-negative")
+        if len(thresholds) != iter_max:
+            raise ValueError(f"need {iter_max} thresholds, got {len(thresholds)}")
+        if any(b < 1 for b in thresholds):
+            raise ValueError("thresholds must be at least 1")
     elif thresholds is not None:
         raise ValueError(f"{decoder} decoder takes no thresholds")
 

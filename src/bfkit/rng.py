@@ -14,15 +14,18 @@ machines running the same plan must derive identical child seeds.
 
 A stream is numpy's PCG64 seeded through ``np.random.SeedSequence``
 (``make_rng``), and ``sample_distinct`` consumes its uint32 stream by
-numpy's bounded-integer rule. The group forms (``child_seeds``,
-``bit_generators``, ``sample_distinct_group``) run the same algorithms on
-arrays of seeds and give exactly the scalar forms' seeds, streams and
-samples.
+numpy's bounded-integer rule. This is the one module that knows how numpy
+turns a seed into words: the group forms (``child_seeds``,
+``sample_distinct_group`` and ``GroupDraws``, the decoders' tie-breaks)
+seed a whole group's streams in one pass, read their words ahead and apply
+the same rule to arrays, and give exactly the scalar forms' seeds, samples
+and draws.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -150,7 +153,7 @@ class _SeedState(ISeedSequence):
         return self.state
 
 
-def bit_generators(seeds) -> list[np.random.PCG64]:
+def _bit_generators(seeds) -> list[np.random.PCG64]:
     """``[make_rng(s).bit_generator for s in seeds]``, hashing every seed in
     one pass."""
     try:
@@ -158,6 +161,14 @@ def bit_generators(seeds) -> list[np.random.PCG64]:
     except OverflowError:  # a seed outside [0, 2**64): numpy seeds it, or rejects it
         return [np.random.PCG64(s) for s in seeds]
     return [np.random.PCG64(_SeedState(state)) for state in _seed_states(seeds.ravel())]
+
+
+def _next_words(streams: Sequence[np.random.PCG64], raw: int) -> np.ndarray:
+    """(B, 2 * raw) uint32: the next ``raw`` outputs of each stream as
+    numpy's uint32 draws read them, each 64-bit output split low half
+    first."""
+    words = np.concatenate([bits.random_raw(raw) for bits in streams])
+    return words.astype("<u8", copy=False).view("<u4").reshape(len(streams), -1)
 
 
 # -- sampling ------------------------------------------------------------------
@@ -226,9 +237,7 @@ def sample_distinct_group(seeds, n: int, k: int, times: int = 1) -> np.ndarray:
     redo = range(count)
     if n <= 1 << 32:
         ranges, limits, offsets = _draw_table(n, k, times)
-        words = (ranges.size + 1) // 2
-        raw = np.concatenate([bg.random_raw(words) for bg in bit_generators(seeds)])
-        u = raw.astype("<u8", copy=False).view("<u4").reshape(count, -1)[:, :ranges.size]
+        u = _next_words(_bit_generators(seeds), (ranges.size + 1) // 2)[:, :ranges.size]
         scaled = ranges * u
         redo = np.flatnonzero(((scaled & _MASK32) < limits).any(axis=1))
         picks = (scaled >> 32).astype(np.int64).reshape(count, times, -1) + offsets
@@ -243,3 +252,53 @@ def sample_distinct_group(seeds, n: int, k: int, times: int = 1) -> np.ndarray:
         rng = make_rng(int(seeds[b]))
         out[b] = [sample_distinct(rng, n, k) for _ in range(times)]
     return out
+
+
+class GroupDraws:
+    """``integers(0, m)`` draws from a group's streams, read ahead.
+
+    Row b's stream is ``make_rng(seeds[b])``, and ``draw(rows, sizes)``
+    gives its next ``integers(0, m)`` for each row b of ``rows`` and its m
+    in ``sizes``, bit for bit. Each row's words are read ``count`` at a
+    time, and numpy's bounded rule ``(u * m) >> 32`` runs on every row at
+    once (Lemire, "Fast random integer generation in an interval", 2019).
+    A row whose product falls in the rejection band redraws word by word,
+    as numpy does, and a row that uses up its words reads the next ones
+    from its stream.
+    """
+
+    def __init__(self, seeds: Sequence[int], count: int):
+        self._bits = _bit_generators(seeds)
+        self._raw = max(1, (count + 1) // 2)
+        self.words = _next_words(self._bits, self._raw)
+        self.next = np.zeros(len(self._bits), dtype=np.intp)  # each row's next word
+
+    def _refill(self, b: int) -> None:
+        """Row b's next words, read from its stream."""
+        self.words[b] = _next_words(self._bits[b:b + 1], self._raw)[0]
+        self.next[b] = 0
+
+    def _word(self, b: int) -> int:
+        if self.next[b] == self.words.shape[1]:
+            self._refill(b)
+        self.next[b] += 1
+        return int(self.words[b, self.next[b] - 1])
+
+    def draw(self, rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """One pick per row of ``rows`` (distinct); each size is at least 2."""
+        for i in np.flatnonzero(self.next[rows] == self.words.shape[1]).tolist():
+            self._refill(int(rows[i]))
+        at = self.next[rows]
+        self.next[rows] = at + 1
+        m = sizes.astype(np.uint64)
+        scaled = self.words[rows, at] * m
+        picks = (scaled >> 32).astype(np.intp)
+        # numpy redraws while the low half lies below (2**32 - m) % m
+        for i in np.flatnonzero((scaled & _MASK32) < (2**32 - m) % m).tolist():
+            b, size = int(rows[i]), int(m[i])
+            limit = (2**32 - size) % size
+            product = self._word(b) * size
+            while product & _MASK32 < limit:
+                product = self._word(b) * size
+            picks[i] = product >> 32
+        return picks

@@ -408,8 +408,9 @@ def differential_campaign(plan: SimPlan) -> DifferentialReport:
     Any divergence in outcome or flip history is reported; the expected
     result is zero mismatches.
     """
-    profile = checked_profile(plan)
-    warn_low_thresholds(profile.v, plan.thresholds, stacklevel=2)
+    if plan.decoder == "bf":
+        raise ValueError("the differential campaign compares the single-flip decoders, not bf")
+    checked_profile(plan)
     mismatches: list[Mismatch] = []
     for chunk in _ordered_chunk_results(plan, _run_diff_chunk):
         mismatches.extend(chunk)

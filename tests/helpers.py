@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from bfkit.codes import ErrorPattern, SparseParityCheck
-from bfkit.decoders import OpCounts, argmax_scan, bfmax_decode_group
+from bfkit.decoders import OpCounts, _bfmax_group, argmax_scan
 from bfkit.dfr import CounterDistribution
 
 
@@ -203,11 +203,11 @@ def faulty_sparse_group(index, syndromes, iter_max, tie_seeds, *, incremental):
     """Deliberately broken group decoder for negative-control runs: the
     sparse side breaks ties from perturbed seeds (each with its low bit
     flipped), desynchronizing it from the naive side. Tests monkeypatch it
-    over ``bfkit.decoders.bfmax_decode_group``; it returns the kernel's
+    over ``bfkit.decoders._bfmax_group``; it returns the kernel's
     ``GroupResult``."""
     if incremental:
         tie_seeds = [int(seed) ^ 1 for seed in tie_seeds]
-    return bfmax_decode_group(index, syndromes, iter_max, tie_seeds, incremental=incremental)
+    return _bfmax_group(index, syndromes, iter_max, tie_seeds, incremental=incremental)
 
 
 def bfmax_reference(H: SparseParityCheck, s_bits: np.ndarray, iter_max: int, rng, *,

@@ -193,7 +193,7 @@ def test_constant_work_per_iteration():
             snapshots: list[OpCounts] = []
             bfmax_decode_sparse(
                 H, syndrome(H, e), 8, make_rng(k),
-                on_iteration=lambda st: snapshots.append(st.ops.snapshot()),
+                on_iteration=lambda st: snapshots.append(st.ops),
             )
             prev = OpCounts(counter_init_adds=n * v)
             for snap in snapshots:

@@ -136,16 +136,21 @@ def test_predict_weight_beyond_length_exits_one(capsys):
     assert captured.err == "predict: error: error weight 27 out of range for length 26\n"
 
 
-def test_python_m_bfkit_runs_the_cli():
+def run_python_m_bfkit(*argv):
+    """``python -m bfkit`` in a child process, so its stderr holds what a
+    user would see, warnings included."""
     src = str(Path(bfkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     ))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bfkit", "predict", "--r", "13", "--v", "3",
-         "--t-min", "0", "--t-max", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", "bfkit", *map(str, argv)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_python_m_bfkit_runs_the_cli():
+    proc = run_python_m_bfkit("predict", "--r", 13, "--v", 3, "--t-min", 0, "--t-max", 2)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "n,r,v,w,t,q_max,dfr,log2_dfr,mode,format_version"
     assert len(proc.stdout.splitlines()) == 4
@@ -460,6 +465,17 @@ def test_decode_bf_requires_thresholds(toy_file, capsys):
     assert "thresholds" in capsys.readouterr().err
 
 
+def test_decode_rejected_thresholds_do_not_warn(toy_file):
+    # a threshold of 0 is refused before the low-threshold warning
+    proc = run_python_m_bfkit(
+        "decode", "--code", toy_file, "--error-support", "1",
+        "--decoder", "bf", "--iter-max", 1, "--thresholds", 0,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "decode: error: thresholds must be at least 1\n"
+    assert "invites oscillation" not in proc.stderr
+
+
 _PINNED_DECODES = {
     "bf": (
         '{"decoder": "bf", "error_support": null, "flip_log": [1, 2, 5, 16, 20, 25], '
@@ -541,7 +557,7 @@ def test_compare_clean_toy_campaign(tmp_path, capsys):
 
 def test_compare_fault_injection_negative_control(monkeypatch, capsys):
     # one worker keeps the campaign in this process, where the patch applies
-    monkeypatch.setattr("bfkit.decoders.bfmax_decode_group", faulty_sparse_group)
+    monkeypatch.setattr("bfkit.decoders._bfmax_group", faulty_sparse_group)
     code = run_cli(
         "compare", "--r", 13, "--v", 3, "--t", 3,
         "--trials", 400, "--opcount-trials", 50, "--seed", 3, "--workers", 1,

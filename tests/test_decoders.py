@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -16,10 +17,8 @@ from bfkit.codes import (
     syndrome,
 )
 from bfkit.decoders import (
-    BfConfig,
     OpCounts,
     argmax_scan,
-    bf_decode,
     bfmax_decode_naive,
     bfmax_decode_sparse,
     decode,
@@ -105,7 +104,7 @@ def toy():
 
 
 def test_bf_zero_syndrome_immediate_success(toy):
-    out = bf_decode(toy, zero_syndrome(toy), BfConfig.constant(4, 3))
+    out = decode("bf", toy, zero_syndrome(toy), 4, thresholds=(3,) * 4)
     assert out.success and out.error_estimate.weight == 0
     assert out.iterations_used == 0 and out.flip_log == ()
 
@@ -115,7 +114,7 @@ def test_bf_single_error_threshold_v(toy):
     assert max_pairwise_column_intersection(toy) < toy.v
     for i in (0, 9, 25):
         s = syndrome(toy, ErrorPattern.from_support(toy.n, [i]))
-        out = bf_decode(toy, s, BfConfig.constant(1, toy.v))
+        out = decode("bf", toy, s, 1, thresholds=(toy.v,))
         assert out.success and out.flip_log == (i,)
 
 
@@ -126,7 +125,7 @@ def test_bf_matches_dense_reference(toy):
     for _ in range(300):
         e = sample_error(toy.n, int(rng.integers(0, 5)), rng)
         s = syndrome(toy, e)
-        mine = bf_decode(toy, s, BfConfig(4, thresholds))
+        mine = decode("bf", toy, s, 4, thresholds=thresholds)
         ok_ref, est_ref, flips_ref, _ = bf_decode_dense_reference(D, s.bits, thresholds, 4)
         assert mine.success == ok_ref
         assert list(mine.flip_log) == flips_ref
@@ -139,29 +138,30 @@ def test_bf_success_contract(toy):
     for _ in range(200):
         e = sample_error(toy.n, 3, rng)
         s = syndrome(toy, e)
-        out = bf_decode(toy, s, BfConfig.constant(5, 2))
+        out = decode("bf", toy, s, 5, thresholds=(2,) * 5)
         if out.success:
             assert syndrome(toy, out.error_estimate) == s
 
 
 def test_bf_config_validation(toy):
+    with pytest.raises(ValueError, match="need 2 thresholds, got 1"):
+        decode("bf", toy, zero_syndrome(toy), 2, thresholds=(3,))
+    # rejected inputs raise without the low-threshold warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least 1"):
+            decode("bf", toy, zero_syndrome(toy), 1, thresholds=(0,))
     with pytest.raises(ValueError):
-        BfConfig(2, (3,))
-    with pytest.raises(ValueError):
-        BfConfig(1, (0,))
-    with pytest.raises(ValueError):
-        bf_decode(toy, zero_syndrome(toy), BfConfig.constant(1, toy.v + 1))
+        decode("bf", toy, zero_syndrome(toy), 1, thresholds=(toy.v + 1,))
     with pytest.warns(UserWarning, match="ceil"):
-        bf_decode(toy, zero_syndrome(toy), BfConfig.constant(1, 1))
+        decode("bf", toy, zero_syndrome(toy), 1, thresholds=(1,))
 
 
 def test_low_threshold_warning_names_the_caller(toy):
     # the warning points at the line that called the public entry point
     with pytest.warns(UserWarning, match="ceil") as record:
-        bf_decode(toy, zero_syndrome(toy), BfConfig.constant(1, 1))
-    with pytest.warns(UserWarning, match="ceil") as again:
         decode("bf", toy, zero_syndrome(toy), 1, thresholds=(1,))
-    assert [w.filename for w in list(record) + list(again)] == [__file__, __file__]
+    assert [w.filename for w in record] == [__file__]
 
 
 # -- single-flip decoders ------------------------------------------------------------
@@ -272,7 +272,7 @@ def test_constant_work_per_iteration_on_regular_codes():
         snapshots = []
         bfmax_decode_sparse(
             H, syndrome(H, e), 8, make_rng(3),
-            on_iteration=lambda st: snapshots.append(st.ops.snapshot()),
+            on_iteration=lambda st: snapshots.append(st.ops),
         )
         prev = OpCounts(counter_init_adds=n * v)
         for snap in snapshots:

@@ -14,9 +14,7 @@ from bfkit import decoders
 from bfkit.codes import CodeIndex, QcSeedSpec, generate_qc, random_regular_code, sample_error, syndrome
 from bfkit.decoders import (
     DECODERS,
-    BfConfig,
     OpCounts,
-    bf_decode,
     bfmax_decode_naive,
     bfmax_decode_sparse,
     decode,
@@ -59,45 +57,6 @@ def test_integers_zero_one_leaves_stream_untouched():
         assert drawn.bit_generator.state == untouched.bit_generator.state
 
 
-def _in_band(word: int, m: int) -> bool:
-    """Whether numpy's bounded rule rejects ``word`` for the range m."""
-    return (word * m) & (2**32 - 1) < (2**32 - m) % m
-
-
-def test_tie_words_draw_as_integers():
-    # Each row's picks equal integers(0, m) on a generator of its seed, for
-    # ranges whose rejection band holds a quarter to a half of all words,
-    # and for rows that use up their two read-ahead words many times over.
-    seeds = [3, 17, 2**63 + 5, 99]
-    twins = [make_rng(seed) for seed in seeds]
-    ties = decoders._TieWords(seeds, 2)
-    assert ties.words.shape == (4, 2)
-    pick = make_rng(8)
-    banded = 0
-    for step in range(60):
-        rows = np.flatnonzero(pick.integers(0, 2, len(seeds)))
-        sizes = pick.choice([2, 3, 7, 149, 2**31 + 1, 3 * 2**30, 2**32 - 1], rows.size)
-        banded += sum(
-            _in_band(int(ties.words[b, min(ties.next[b], ties.words.shape[1] - 1)]), int(m))
-            for b, m in zip(rows, sizes)
-        )
-        got = ties.draw(rows, sizes)
-        assert got.tolist() == [int(twins[b].integers(0, m)) for b, m in zip(rows, sizes)]
-    assert banded >= 5
-
-
-def test_tie_words_made_up_rejected_word():
-    # a made-up word in the rejection band, followed by three words of the
-    # row's own stream: the helper redraws from the next word, as numpy does
-    m = 2**31 + 1
-    stream = make_rng(41).integers(0, 2**32, 3, dtype=np.uint64).tolist()
-    rejected = next(u for u in range(2**32 - 1, 0, -1) if _in_band(u, m))
-    ties = decoders._TieWords([41, 42], 4)
-    ties.words[0] = [rejected] + stream
-    expected = next((u * m) >> 32 for u in stream if not _in_band(u, m))
-    assert ties.draw(np.array([0]), np.array([m])).tolist() == [expected]
-
-
 @pytest.mark.filterwarnings("ignore:threshold below")
 @pytest.mark.parametrize("decoder", DECODERS)
 @pytest.mark.parametrize("kind", KINDS + ["fresh-qc-ones"])
@@ -126,7 +85,7 @@ def test_group_equals_one_by_one(kind, decoder):
     for H, e, seed, out in zip(codes, errors, seeds, group):
         s = syndrome(H, e)
         if decoder == "bf":
-            alone = bf_decode(H, s, BfConfig(iter_max, thresholds))
+            alone = decode("bf", H, s, iter_max, thresholds=thresholds)
             ok, estimate, flips, iterations = bf_decode_dense_reference(
                 dense_matrix(H), s.bits, thresholds, iter_max
             )
@@ -214,7 +173,6 @@ def test_qc_tables_are_built_on_first_use():
     e = sample_error(H.n, 8, make_rng(1))
     bfmax_decode_sparse(H, syndrome(H, e), 8, make_rng(2))
     bfmax_decode_naive(H, syndrome(H, e), 8, make_rng(2))
-    bf_decode(H, syndrome(H, e), BfConfig.constant(8, 3))
     decode("bf", H, syndrome(H, e), 8, thresholds=(3,) * 8)
     assert (H.w_max, H.is_row_regular) == (10, True)
     assert "col_supports" not in vars(H) and "_row_csr" not in vars(H)
@@ -236,7 +194,8 @@ def test_group_of_128_equals_reference(incremental, tie_words, monkeypatch):
     rng = make_rng(13)
     errors = [sample_error(H.n, int(rng.integers(1, 13)), rng) for H in codes]
     S = np.stack([syndrome(H, e).bits for H, e in zip(codes, errors)])
-    result = decoders.bfmax_decode_group(CodeIndex(codes), S, 12, seeds, incremental=incremental)
+    decoder = "bfmax-sparse" if incremental else "bfmax-naive"
+    result = decode_group(decoder, CodeIndex(codes), S, 12, tie_seeds=seeds)
     outcomes = result.outcomes()
     assert len(set(result.iterations.tolist())) > 5 and not result.success.all()
     for H, e, seed, out in zip(codes, errors, seeds, outcomes):

@@ -10,7 +10,8 @@ import bfkit.rng
 from bfkit.codes import CodeIndex, QcSeedSpec, generate_qc, generate_qc_group
 from bfkit.decoders import decode_group
 from bfkit.rng import (
-    bit_generators,
+    GroupDraws,
+    _bit_generators,
     child_seed,
     child_seeds,
     make_rng,
@@ -42,19 +43,19 @@ def test_sample_distinct_equals_pool_oracle():
 
 def test_bit_generators_states_equal_make_rng():
     seeds = EDGE_SEEDS + _random_seeds(5000, 1)
-    for seed, bits in zip(seeds, bit_generators(seeds), strict=True):
+    for seed, bits in zip(seeds, _bit_generators(seeds), strict=True):
         assert bits.state == make_rng(seed).bit_generator.state, seed
     # the same from a uint64 array, and for a group of one
-    last = np.random.Generator(bit_generators(np.array(EDGE_SEEDS, dtype=np.uint64))[-1])
+    last = np.random.Generator(_bit_generators(np.array(EDGE_SEEDS, dtype=np.uint64))[-1])
     assert last.integers(0, 2**62) == make_rng(2**64 - 1).integers(0, 2**62)
-    assert bit_generators([7])[0].state == make_rng(7).bit_generator.state
+    assert _bit_generators([7])[0].state == make_rng(7).bit_generator.state
 
 
 def test_bit_generators_leave_other_seeds_to_numpy():
-    bits, = bit_generators([2**70])
+    bits, = _bit_generators([2**70])
     assert bits.state == make_rng(2**70).bit_generator.state
     with pytest.raises(ValueError):
-        bit_generators([-1])
+        _bit_generators([-1])
 
 
 def test_child_seeds_equal_child_seed():
@@ -120,6 +121,45 @@ def test_group_sampler_rejects_bad_sizes():
         sample_distinct_group([1, 2], 5, 6)
     with pytest.raises(ValueError):
         sample_distinct(make_rng(0), 5, -1)
+
+
+def _in_band(word: int, m: int) -> bool:
+    """Whether numpy's bounded rule rejects ``word`` for the range m."""
+    return (word * m) & (2**32 - 1) < (2**32 - m) % m
+
+
+def test_group_draws_equal_integers():
+    # Each row's picks equal integers(0, m) on a generator of its seed, for
+    # ranges whose rejection band holds a quarter to a half of all words,
+    # and for rows that use up their two read-ahead words many times over.
+    seeds = [3, 17, 2**63 + 5, 99]
+    twins = [make_rng(seed) for seed in seeds]
+    draws = GroupDraws(seeds, 2)
+    assert draws.words.shape == (4, 2)
+    pick = make_rng(8)
+    banded = 0
+    for step in range(60):
+        rows = np.flatnonzero(pick.integers(0, 2, len(seeds)))
+        sizes = pick.choice([2, 3, 7, 149, 2**31 + 1, 3 * 2**30, 2**32 - 1], rows.size)
+        banded += sum(
+            _in_band(int(draws.words[b, min(draws.next[b], draws.words.shape[1] - 1)]), int(m))
+            for b, m in zip(rows, sizes)
+        )
+        got = draws.draw(rows, sizes)
+        assert got.tolist() == [int(twins[b].integers(0, m)) for b, m in zip(rows, sizes)]
+    assert banded >= 5
+
+
+def test_group_draws_made_up_rejected_word():
+    # a made-up word in the rejection band, followed by three words of the
+    # row's own stream: the row redraws from the next word, as numpy does
+    m = 2**31 + 1
+    stream = make_rng(41).integers(0, 2**32, 3, dtype=np.uint64).tolist()
+    rejected = next(u for u in range(2**32 - 1, 0, -1) if _in_band(u, m))
+    draws = GroupDraws([41, 42], 4)
+    draws.words[0] = [rejected] + stream
+    expected = next((u * m) >> 32 for u in stream if not _in_band(u, m))
+    assert draws.draw(np.array([0]), np.array([m])).tolist() == [expected]
 
 
 def test_generate_qc_group_equals_generate_qc():

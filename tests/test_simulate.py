@@ -121,12 +121,14 @@ def test_bf_decoder_plan():
 
 
 def test_low_threshold_warning_names_the_caller():
-    # run_sim and differential_campaign warn once, at the line that called them
+    # run_sim warns once, at the line that called it; the differential
+    # campaign compares the single-flip decoders and refuses a bf plan
     plan = toy_plan(decoder="bf", thresholds=(1, 1), max_trials=300)
-    for entry in (run_sim, differential_campaign):
-        with pytest.warns(UserWarning, match="ceil") as record:
-            entry(plan)
-        assert [w.filename for w in record] == [__file__]
+    with pytest.warns(UserWarning, match="ceil") as record:
+        run_sim(plan)
+    assert [w.filename for w in record] == [__file__]
+    with pytest.raises(ValueError, match="single-flip"):
+        differential_campaign(plan)
 
 
 def test_file_source(tmp_path):
@@ -236,7 +238,7 @@ def test_differential_campaign_spot_check_at_large_scale():
 
 
 def test_differential_campaign_detects_injected_fault(monkeypatch):
-    monkeypatch.setattr("bfkit.decoders.bfmax_decode_group", faulty_sparse_group)
+    monkeypatch.setattr("bfkit.decoders._bfmax_group", faulty_sparse_group)
     report = differential_campaign(toy_plan(t=3, max_trials=400))
     assert not report.clean
     miss = report.mismatches[0]
