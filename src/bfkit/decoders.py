@@ -226,6 +226,13 @@ def warn_low_thresholds(v: int, thresholds: Sequence[int] | None, *, stacklevel:
         )
 
 
+def check_threshold_ceiling(v: int, thresholds: Sequence[int] | None) -> None:
+    """The one rule for ``bf`` thresholds against a code: a counter never
+    exceeds the column weight v, so a threshold above it is refused."""
+    if thresholds and max(thresholds) > v:
+        raise ValueError(f"threshold exceeds column weight v={v}")
+
+
 def _bf_group(index: CodeIndex, syndromes: np.ndarray, thresholds: Sequence[int]) -> GroupResult:
     """Out-of-place bit flipping of a group of trials in lockstep: row b of
     the (B, r) ``syndromes`` in trial b's code of ``index``, one iteration
@@ -233,8 +240,7 @@ def _bf_group(index: CodeIndex, syndromes: np.ndarray, thresholds: Sequence[int]
     count, r = syndromes.shape
     _check_inputs(index, r, len(thresholds))
     n, v = index.n, index.v
-    if any(b > v for b in thresholds):
-        raise ValueError(f"threshold exceeds column weight v={v}")
+    check_threshold_ceiling(v, thresholds)
     trials = np.arange(count)
     S = syndromes.astype(np.uint8)
     iterations = np.full(count, len(thresholds), dtype=np.int64)

@@ -35,7 +35,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 # The beta quantile by the inverse regularized incomplete beta function:
@@ -51,7 +51,14 @@ from .codes import (
     generate_qc_group,
     load_code,
 )
-from .decoders import OpCounts, check_decoder, decode_group, predicted_op_count, warn_low_thresholds
+from .decoders import (
+    OpCounts,
+    check_decoder,
+    check_threshold_ceiling,
+    decode_group,
+    predicted_op_count,
+    warn_low_thresholds,
+)
 from .rng import STREAM_ERROR, STREAM_KEY, STREAM_TIEBREAK, child_seeds, sample_distinct_group
 
 SEED_SCHEME = "splitmix64-v1"
@@ -128,13 +135,9 @@ class FreshQcSource:
     v: int
     code = None  # no code is shared; ``keys`` builds each group's
 
-    @cached_property
-    def _seed0_key(self) -> SparseParityCheck:
-        return generate_qc(QcSeedSpec(self.r, self.v, 0))
-
     def profile(self) -> SparseParityCheck:
-        """The seed-0 key, built once; every fresh key has its shape."""
-        return self._seed0_key
+        """The seed-0 key; every fresh key has its shape."""
+        return _seed0_key(self.r, self.v)
 
     def keys(self, key_seeds: np.ndarray) -> CodeIndex:
         """The ``CodeIndex`` of the keys ``generate_qc`` builds from ``key_seeds``."""
@@ -145,6 +148,14 @@ class FreshQcSource:
 
 
 CodeSource = FixedCodeSource | FileCodeSource | QcCodeSource | FreshQcSource
+
+
+@lru_cache(maxsize=16)
+def _seed0_key(r: int, v: int) -> SparseParityCheck:
+    """The seed-0 quasi-cyclic key of shape (r, v), built once per process
+    rather than once per source: a benchmark or campaign may build many
+    sources of one shape."""
+    return generate_qc(QcSeedSpec(r, v, 0))
 
 
 # -- plans and reports -------------------------------------------------------
@@ -239,6 +250,7 @@ def checked_profile(plan: SimPlan) -> SparseParityCheck:
     profile = plan.source.profile()
     if plan.t > profile.n:
         raise ValueError(f"t={plan.t} exceeds code length {profile.n}")
+    check_threshold_ceiling(profile.v, plan.thresholds)
     return profile
 
 

@@ -476,6 +476,17 @@ def test_decode_rejected_thresholds_do_not_warn(toy_file):
     assert "invites oscillation" not in proc.stderr
 
 
+def test_simulate_rejected_thresholds_do_not_warn():
+    # a threshold above v is refused before the low-threshold warning
+    proc = run_python_m_bfkit(
+        "simulate", "--r", 13, "--v", 3, "--t", 2, "--decoder", "bf",
+        "--thresholds", "1,4", "--max-trials", 10,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "simulate: error: threshold exceeds column weight v=3\n"
+    assert "invites oscillation" not in proc.stderr
+
+
 _PINNED_DECODES = {
     "bf": (
         '{"decoder": "bf", "error_support": null, "flip_log": [1, 2, 5, 16, 20, 25], '
@@ -601,6 +612,7 @@ def test_compare_builds_profile_key_once(monkeypatch):
     # apply: the profile key is built alone, the trials' keys by group
     monkeypatch.setattr("bfkit.simulate.generate_qc", counting)
     monkeypatch.setattr("bfkit.simulate.generate_qc_group", counting_group)
+    simulate._seed0_key.cache_clear()  # the profile key is kept per process
     assert run_cli("compare", "--trials", 5, "--opcount-trials", 5, "--workers", 1) == 0
     assert seeds.count(0) == 1
     assert len(seeds) == 1 + 5 + 5

@@ -1,8 +1,11 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+# scipy's log-sum-exp is the test-only oracle that dfr._logsumexp reproduces
+from scipy.special import logsumexp as scipy_logsumexp
 
 from bfkit import dfr
 from bfkit.codes import ErrorPattern, random_regular_code, sample_error, syndrome
@@ -217,6 +220,58 @@ def test_predict_regression_anchors():
     assert p50.dfr_linear == pytest.approx(0.0022637754975404693, rel=1e-9)
     p25 = predict_dfr(1200, 600, 13, 26, 25)
     assert p25.dfr_linear == pytest.approx(0.2518064498951063, rel=1e-9)
+    # exact bits, recorded when the model still called scipy.special.logsumexp
+    for args, dfr_linear, log_dfr, q_max in [
+        ((4006, 2003, 11, 22, 60), 0.007046419852363374, -4.955235613503209, 0.0012067113550821313),
+        # the BIKE level-1 shape
+        ((24646, 12323, 71, 142, 140), 0.0023241758359123384, -6.064389781962901, 0.0004482171478395102),
+        ((4006, 2003, 13, 26, 0), 0.0, -math.inf, None),
+        # every q_u below the tiny switch: a log-sum-exp of the prefix
+        ((4006, 2003, 13, 26, 5), 1.4074446265860416e-16, -36.49958574932647, None),
+    ]:
+        p = predict_dfr(*args)
+        assert (p.dfr_linear, p.log_dfr) == (dfr_linear, log_dfr), args
+        if q_max is not None:
+            assert float(p.per_iteration_failure.max()) == q_max
+    assert predict_dfr(4006, 2003, 13, 26, 5).per_iteration_failure.max() < math.exp(dfr._LOG_TINY_SWITCH)
+
+
+# -- log-sum-exp ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("values", [
+    [-3.5],  # one element
+    [-2.0, -7.0, -2.0, -2.0, -9.5],  # repeated maxima
+    [-1.0, -math.inf, -4.0, -math.inf],  # -inf entries
+    [-5.0, -900.0, -40.0, -745.2, -5.0],  # spread past exp underflow
+    [0.0, -800.0, -1e4],  # every other term underflows: the s == 0 branch
+    [-math.inf, -6.0],
+])
+def test_local_logsumexp_matches_scipy(values):
+    a = np.array(values)
+    got = dfr._logsumexp(a)
+    assert a.tolist() == values  # the input is left as it was
+    assert repr(got) == repr(float(scipy_logsumexp(a)))
+
+
+def test_local_logsumexp_matches_scipy_on_random_inputs():
+    rng = np.random.default_rng(2)
+    for i in range(2000):
+        a = -rng.random(int(rng.integers(1, 40))) * (1.0, 30.0, 700.0, 1500.0)[i % 4]
+        a -= rng.random() * 300.0
+        if i % 3 == 0:  # repeated values, the maximum among them
+            a = np.round(a)
+        if i % 5 == 0:
+            a[rng.integers(0, a.size, a.size // 2)] = -math.inf
+        assert repr(dfr._logsumexp(a)) == repr(float(scipy_logsumexp(a))), a
+
+
+def test_local_logsumexp_of_only_neg_inf_is_quiet():
+    a = np.full(4, -math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dfr._logsumexp(a) == -math.inf
+    assert scipy_logsumexp(a) == -math.inf
 
 
 def test_fast_matches_oracle_across_magnitudes():

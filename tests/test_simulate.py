@@ -151,6 +151,12 @@ def test_source_descriptions(tmp_path):
     assert FreshQcSource(13, 3).describe() == "fresh-qc(r=13,v=3)"
 
 
+def test_fresh_sources_of_one_shape_share_the_profile_key():
+    profile = FreshQcSource(13, 3).profile()
+    assert FreshQcSource(13, 3).profile() is profile
+    assert profile == generate_qc(QcSeedSpec(13, 3, 0))
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         toy_plan(decoder="belief-propagation")
