@@ -5,9 +5,9 @@ Every file-producing subcommand writes a JSON manifest next to its output
 and the tool version; re-running those parameters reproduces the output
 byte for byte. Exit codes: 0 success, 1 usage or parameter error, an
 unreadable input or unwritable output, or a worker process that died,
-2 differential mismatch or validation failure. Subcommands raise
-ValueError/OSError (a dead worker surfaces as ``BrokenExecutor``); ``main``
-alone reports them as ``<subcommand>: error: <message>``.
+2 differential mismatch. Subcommands raise ValueError/OSError (a dead
+worker surfaces as ``BrokenExecutor``); ``main`` alone reports them as
+``<subcommand>: error: <message>``.
 """
 
 from __future__ import annotations
@@ -230,8 +230,7 @@ def _cmd_simulate(args) -> int:
     report = run_sim(plan)
 
     theory = None
-    regular = profile.is_row_regular and profile.n * profile.v == profile.r * profile.w_max
-    if regular and plan.decoder.startswith("bfmax") and plan.effective_iter_max == plan.t:
+    if profile.is_row_regular and plan.decoder.startswith("bfmax") and plan.effective_iter_max == plan.t:
         theory = predict_dfr(profile.n, profile.r, profile.v, profile.w_max, plan.t)
 
     row = _sim_csv_row(report, theory)

@@ -17,10 +17,13 @@ failures, making the prediction a slight overestimate by construction.
 values (``rho``), the counter pmfs (``counter_pmfs``) and log q_u
 (``log_iteration_failure``), and reads every t of the sweep off the prefix
 q_1..q_t; ``predict_dfr`` is a sweep of one t.
-Only log-domain quantities are kept: log pmfs from log-gamma binomials,
-the log cdf by a running ``logaddexp``, and the mass above each counter
-value for cdf powers near 1 (via log1p); the product over u is assembled
-via expm1, one running prefix for the whole sweep. Predictions therefore
+Only log-domain quantities are kept: log pmfs from log-gamma binomials and
+one log cdf per counter class, a list of floats over x = 0..v. Each entry
+is chosen once, when the pmfs are built: log1p of minus the mass above x
+where the cdf is near 1, else a running ``logaddexp`` from below.
+``log_iteration_failure`` raises those entries to the class sizes n - u
+and u by one multiplication each; the product over u is assembled via
+expm1, one running prefix for the whole sweep. Predictions therefore
 remain accurate far below the 2**-128 regime where direct evaluation
 underflows. An arbitrary-precision cross-check mode evaluates the same
 formulas naively under mpmath with a configurable number of digits.
@@ -43,6 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -168,46 +172,27 @@ def _log_binom_pmf(v: int, p: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CounterDistribution:
-    """Counter pmfs g1/g0 (error / error-free positions) at residual weight u.
+    """Counter laws of error (``*1``) and error-free (``*0``) positions at
+    residual weight u.
 
-    Holds the log pmfs ``log_g*`` and the pair used by the failure
-    computation: ``tail*[x]`` is the mass strictly above x (accurate where
-    the cdf is near 1), ``log_cum*[x]`` the log cdf built from below
-    (accurate where the cdf is near 0). The ``*1`` arrays are None when
-    there is no error position (u = 0).
+    ``log_g*`` is the log pmf over x in [0, v] and ``log_cdf*`` the log cdf,
+    a list of floats. The ``*1`` fields are None when there is no error
+    position (u = 0).
     """
 
     log_g1: np.ndarray | None
     log_g0: np.ndarray
-    tail1: np.ndarray | None
-    tail0: np.ndarray
-    log_cum1: np.ndarray | None
-    log_cum0: np.ndarray
-
-    def log_cdf0_pow(self, x: int, power: int) -> float:
-        return _log_cdf_pow(self.tail0, self.log_cum0, x, power)
-
-    def log_cdf1_pow(self, x: int, power: int) -> float:
-        if self.tail1 is None:
-            raise ValueError("distribution built without rho1 (u = 0)")
-        return _log_cdf_pow(self.tail1, self.log_cum1, x, power)
+    log_cdf1: list[float] | None
+    log_cdf0: list[float]
 
 
-def _log_cdf_pow(tail: np.ndarray, log_cum: np.ndarray, x: int, power: int) -> float:
-    t = float(tail[x])
-    if t < 0.5:
-        return power * math.log1p(-t)
-    lc = float(log_cum[x])
-    if lc == _NEG_INF:
-        return _NEG_INF
-    return power * lc
-
-
-def _cdf_pieces(log_g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(tail, log_cum): mass strictly above each x, and the log cdf."""
-    g = np.exp(log_g)
-    tail = np.concatenate([np.cumsum(g[::-1])[::-1][1:], [0.0]])
-    return tail, np.logaddexp.accumulate(log_g)
+def _log_cdf(log_g: np.ndarray) -> list[float]:
+    """log cdf of a log pmf: log1p of minus the mass strictly above x where
+    that mass is below 1/2 (accurate where the cdf is near 1), else the
+    running ``logaddexp`` from below (accurate where it is near 0)."""
+    tail = np.cumsum(np.exp(log_g)[::-1])[::-1][1:].tolist() + [0.0]
+    log_cum = np.logaddexp.accumulate(log_g).tolist()
+    return [math.log1p(-t) if t < 0.5 else lc for t, lc in zip(tail, log_cum)]
 
 
 def counter_pmfs(v: int, rho1: float | None, rho0: float) -> CounterDistribution:
@@ -216,17 +201,10 @@ def counter_pmfs(v: int, rho1: float | None, rho0: float) -> CounterDistribution
         if p is not None and not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {p}")
     log_g0 = _log_binom_pmf(v, rho0)
-    tail0, log_cum0 = _cdf_pieces(log_g0)
     if rho1 is None:
-        log_g1 = tail1 = log_cum1 = None
-    else:
-        log_g1 = _log_binom_pmf(v, rho1)
-        tail1, log_cum1 = _cdf_pieces(log_g1)
-    return CounterDistribution(
-        log_g1=log_g1, log_g0=log_g0,
-        tail1=tail1, tail0=tail0,
-        log_cum1=log_cum1, log_cum0=log_cum0,
-    )
+        return CounterDistribution(None, log_g0, None, _log_cdf(log_g0))
+    log_g1 = _log_binom_pmf(v, rho1)
+    return CounterDistribution(log_g1, log_g0, _log_cdf(log_g1), _log_cdf(log_g0))
 
 
 def log_iteration_failure(n: int, v: int, u: int, dist: CounterDistribution) -> float:
@@ -238,11 +216,14 @@ def log_iteration_failure(n: int, v: int, u: int, dist: CounterDistribution) -> 
     """
     if u < 1:
         raise ValueError("residual weight must be at least 1")
+    if dist.log_cdf1 is None:
+        raise ValueError("distribution built without rho1 (u = 0)")
     m = n - u
     a_prev = _NEG_INF  # log cdf0(x-1)^m
     terms = []
     for x in range(v + 1):
-        a_cur = dist.log_cdf0_pow(x, m)
+        c0 = dist.log_cdf0[x]
+        a_cur = _NEG_INF if c0 == _NEG_INF else m * c0  # at m = 0, 0 * -inf is nan
         if a_cur != _NEG_INF:
             if a_prev == _NEG_INF:
                 log_f0 = a_cur
@@ -250,7 +231,7 @@ def log_iteration_failure(n: int, v: int, u: int, dist: CounterDistribution) -> 
                 diff = a_prev - a_cur
                 log_f0 = a_cur + math.log(-math.expm1(diff)) if diff < 0.0 else _NEG_INF
             if log_f0 != _NEG_INF:
-                log_c1 = dist.log_cdf1_pow(x, u)
+                log_c1 = u * dist.log_cdf1[x]
                 if log_c1 != _NEG_INF:
                     terms.append(log_f0 + log_c1)
         a_prev = a_cur
@@ -357,6 +338,8 @@ def predict_sweep(
             raise ValueError(f"error weight {t} out of range for length {n}")
     if t_max < t_min:
         raise ValueError(f"empty range: t_max {t_max} < t_min {t_min}")
+    if dps < 1:
+        raise ValueError(f"dps must be at least 1, got {dps}")
     if mode == "exact":
         return _predict_sweep_mp(n, r, v, w, t_min, t_max, dps)
     if mode != "fast":
@@ -411,23 +394,12 @@ def _mp_iteration_failure(n: int, v: int, w: int, u: int):
     r0 = mpmath.mpf(r0_frac.numerator) / r0_frac.denominator
     g1 = [mpmath.binomial(v, x) * r1**x * (one - r1) ** (v - x) for x in range(v + 1)]
     g0 = [mpmath.binomial(v, x) * r0**x * (one - r0) ** (v - x) for x in range(v + 1)]
-    cum1 = _mp_cumsum(g1)
-    cum0 = _mp_cumsum(g0)
     m = n - u
     q = mpmath.mpf(0)
     prev = mpmath.mpf(0)
-    for x in range(v + 1):
-        cur = cum0[x] ** m
+    for cum0, cum1 in zip(accumulate(g0), accumulate(g1)):
+        cur = cum0**m
         f0 = cur - prev
-        q += f0 * cum1[x] ** u
+        q += f0 * cum1**u
         prev = cur
     return q
-
-
-def _mp_cumsum(values):
-    out = []
-    acc = mpmath.mpf(0)
-    for val in values:
-        acc += val
-        out.append(acc)
-    return out

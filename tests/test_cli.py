@@ -136,6 +136,15 @@ def test_predict_weight_beyond_length_exits_one(capsys):
     assert captured.err == "predict: error: error weight 27 out of range for length 26\n"
 
 
+@pytest.mark.parametrize("dps", ["0", "-3"])
+def test_predict_exact_rejects_nonpositive_dps(dps, capsys):
+    argv = ["predict", "--r", "13", "--v", "3", "--t-min", "1", "--t-max", "3", "--exact", "--dps", dps]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"predict: error: dps must be at least 1, got {dps}\n"
+
+
 def run_python_m_bfkit(*argv):
     """``python -m bfkit`` in a child process, so its stderr holds what a
     user would see, warnings included."""

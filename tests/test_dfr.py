@@ -124,7 +124,32 @@ def test_pmf_rejects_bad_probability():
         counter_pmfs(4, 1.5, 0.2)
 
 
+def test_log_cdf_takes_both_branches_and_matches_linear_cdf():
+    dist = counter_pmfs(13, 0.4, 0.05)
+    for log_g, log_cdf in ((dist.log_g1, dist.log_cdf1), (dist.log_g0, dist.log_cdf0)):
+        cdf = linear_cdf(log_g)
+        assert len(log_cdf) == 14 and all(type(c) is float for c in log_cdf)
+        big = cdf > 1e-12
+        np.testing.assert_allclose(np.array(log_cdf)[big], np.log(cdf[big]), rtol=1e-10, atol=1e-14)
+    # rho1 = 0.4 puts mass above x = 0 beyond 1/2 (the logaddexp branch)
+    # and below 1/2 near x = v (the log1p branch)
+    assert linear_cdf(dist.log_g1)[0] < 0.5 < linear_cdf(dist.log_g1)[12]
+
+
 # -- per-iteration failure -----------------------------------------------------------
+
+
+def test_iteration_failure_needs_rho1():
+    n, v, w = 26, 3, 6
+    _, r0 = rho(n, w, 0)
+    with pytest.raises(ValueError, match=r"without rho1 \(u = 0\)"):
+        log_iteration_failure(n, v, 1, counter_pmfs(v, None, r0))
+
+
+def test_iteration_failure_with_no_error_free_position():
+    # u = n: the error-free cdf is raised to the power 0, and its log -inf
+    # entries must stay -inf rather than become 0 * -inf = nan
+    assert log_iteration_failure(5, 3, 5, counter_pmfs(3, 0.5, 1.0)) == 0.0
 
 
 def test_single_residual_error_reduces_to_max_reach():
@@ -228,12 +253,16 @@ def test_predict_regression_anchors():
         ((4006, 2003, 13, 26, 0), 0.0, -math.inf, None),
         # every q_u below the tiny switch: a log-sum-exp of the prefix
         ((4006, 2003, 13, 26, 5), 1.4074446265860416e-16, -36.49958574932647, None),
+        # t = n: the last q_u has no error-free position
+        ((16, 8, 1, 2, 16), 1.0, 0.0, 1.0),
     ]:
         p = predict_dfr(*args)
         assert (p.dfr_linear, p.log_dfr) == (dfr_linear, log_dfr), args
         if q_max is not None:
             assert float(p.per_iteration_failure.max()) == q_max
     assert predict_dfr(4006, 2003, 13, 26, 5).per_iteration_failure.max() < math.exp(dfr._LOG_TINY_SWITCH)
+    tiny = predict_dfr(16, 8, 1, 2, 16).per_iteration_failure
+    assert (tiny[0], tiny[13], tiny[14], tiny[15]) == (0.6447356335058556, 0.9961549970294215, 1.0, 1.0)
 
 
 # -- log-sum-exp ---------------------------------------------------------------
