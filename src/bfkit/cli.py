@@ -174,6 +174,8 @@ def _cmd_predict(args) -> int:
 
 def _resolve_source(args):
     if args.code is not None:
+        if (args.r, args.v, args.code_seed) != (None, None, None):
+            raise ValueError("give --code or --r/--v, not both")
         return FileCodeSource(args.code)
     if args.r is None or args.v is None:
         raise ValueError("provide --code or both --r and --v")
@@ -261,6 +263,20 @@ def _cmd_simulate(args) -> int:
 # -- decode --------------------------------------------------------------------
 
 
+def _parse_error_support(raw: str, n: int) -> list[int]:
+    """``--error-support`` positions, in any order, each once and in [0, n)."""
+    try:
+        support = [int(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError("bad --error-support") from None
+    for k, i in enumerate(support):
+        if not 0 <= i < n:
+            raise ValueError(f"--error-support position {i} out of range [0, {n})")
+        if i in support[:k]:
+            raise ValueError(f"--error-support repeats position {i}")
+    return support
+
+
 def _read_syndrome_file(path, r: int) -> Syndrome:
     chars = []
     for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
@@ -279,7 +295,7 @@ def _cmd_decode(args) -> int:
     H = load_code(args.code)
     true_error = None
     if args.error_support is not None:
-        support = [int(tok) for tok in args.error_support.split(",") if tok.strip()]
+        support = _parse_error_support(args.error_support, H.n)
         true_error = ErrorPattern.from_support(H.n, support)
         s = syndrome(H, true_error)
     else:

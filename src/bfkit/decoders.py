@@ -18,10 +18,12 @@ Every decoder advances a group of trials in lockstep on (B, n) counter and
 name in ``DECODERS``: ``decode_group`` runs it on a group and returns the
 group's results as arrays, a ``GroupResult``: success and iteration counts,
 every flip as a (trial, position) pair in the order made, and each trial's
-op counts. ``decode`` is its group of one. A single-flip trial breaks ties
-from its own seeded stream, so its flip log does not depend on the group it
-ran in: ``rng.GroupDraws`` reads each stream's words ahead and draws every
-tied row's pick in one pass, bit for bit as ``Generator.integers`` would.
+op counts. ``decode`` is its group of one. A single-flip trial flips once
+per iteration, so its iterations and op counts are read off the flip arrays,
+the kernel's only per-trial record. It breaks ties from its own seeded
+stream, so its flip log does not depend on the group it ran in:
+``rng.GroupDraws`` reads each stream's words ahead and draws every tied
+row's pick in one pass, bit for bit as ``Generator.integers`` would.
 
 ``bfmax_decode_naive`` and ``bfmax_decode_sparse`` decode one syndrome in
 their own loop over (r,) syndrome and (n,) counter arrays, drawing ties
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -77,12 +79,7 @@ class OpCounts:
     counter_update_touches: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "counter_init_adds": self.counter_init_adds,
-            "argmax_comparisons": self.argmax_comparisons,
-            "syndrome_bit_updates": self.syndrome_bit_updates,
-            "counter_update_touches": self.counter_update_touches,
-        }
+        return asdict(self)
 
     def weighted_total(self, v: int, iterations: int) -> float:
         """Bit-cost total: comparisons and counter-building adds operate on
@@ -183,14 +180,8 @@ class GroupResult:
 
     def same_flips(self, other: "GroupResult") -> bool:
         """Whether every trial has the same success and flip log in both."""
-        return all(
-            np.array_equal(a, b)
-            for a, b in (
-                (self.success, other.success),
-                (self.flip_trials, other.flip_trials),
-                (self.flip_positions, other.flip_positions),
-            )
-        )
+        fields = ("success", "flip_trials", "flip_positions")
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in fields)
 
 
 IterationHook = Callable[[DecoderState], None]
@@ -262,19 +253,14 @@ def _bf_group(index: CodeIndex, syndromes: np.ndarray, thresholds: Sequence[int]
     success = np.ones(count, dtype=bool)
     success[trials] = ~S.any(axis=1)
     flip_trials, flip_positions = _flat(flips)
-    # an iteration counts n*v adds and n comparisons; a flip toggles v checks
-    per_trial = np.bincount(flip_trials, minlength=count)
-    ops = np.stack([n * v * iterations, n * iterations, v * per_trial, 0 * iterations], axis=1)
+    ops = _op_table(n, v, None, False, iterations, np.bincount(flip_trials, minlength=count))
     return GroupResult(n, success, iterations, flip_trials, flip_positions, ops)
 
 
 def _flat(flips: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
     """The per-iteration (trials, positions) of ``flips``, concatenated."""
     empty = np.empty(0, dtype=np.intp)
-    return (
-        np.concatenate([empty] + [trials for trials, _ in flips]),
-        np.concatenate([empty] + [positions for _, positions in flips]),
-    )
+    return tuple(np.concatenate(column) for column in zip((empty, empty), *flips))
 
 
 def _bfmax_group(
@@ -303,25 +289,19 @@ def _bfmax_group(
         raise ValueError(f"{len(tie_seeds)} tie seeds for {count} syndromes")
     n, v = index.n, index.v
     w = index.row_length  # None when row lengths differ
-    # State rows: the trials still in the group, with their syndromes,
-    # counters and (ragged codes only) counter-update tallies.
+    # State rows: the trials still in the group, with their syndromes and
+    # counters. The flips are the only per-trial record.
     trials = np.arange(count)
     S = syndromes.astype(np.uint8)
-    touches = np.zeros(count, dtype=np.int64)
     counters = index.unsatisfied_counts(S) if incremental else None
     ties = GroupDraws(tie_seeds, min(iter_max, _TIE_WORDS))
-    # Per group trial, filled in as it leaves.
-    iterations = np.zeros(count, dtype=np.int64)
-    touched = np.zeros(count, dtype=np.int64)
     flips = []  # per iteration: (trials that flipped, their positions)
     # where each state row begins in the flattened counters and syndromes
     starts, syndrome_starts = trials * n, trials[:, None] * r
-    for it in range(1, iter_max + 1):
+    for _ in range(iter_max):
         live = S.max(axis=1).view(np.bool_)  # bits are 0/1; max is the quicker reduction
         if np.count_nonzero(live) < live.size:
-            iterations[trials[~live]] = it - 1
-            touched[trials[~live]] = touches[~live]
-            trials, S, touches = trials[live], S[live], touches[live]
+            trials, S = trials[live], S[live]
             if not trials.size:
                 break
             index = index.select(live)
@@ -330,7 +310,6 @@ def _bfmax_group(
             starts, syndrome_starts = starts[:trials.size], syndrome_starts[:trials.size]
         if not incremental:
             counters = index.unsatisfied_counts(S)
-        k = trials.size
 
         # Every maximum of every row, in row order; a row with several draws
         # one of them from its own stream. A single winner skips the draw:
@@ -355,19 +334,23 @@ def _bfmax_group(
         if incremental:
             cols, lengths = index.row_columns(checks)
             if w is None:
-                per_trial = lengths.reshape(k, v).sum(axis=1)
-                touches += per_trial
-                pos = np.repeat(starts, per_trial) + cols
-            else:
-                pos = (cols.reshape(k, -1) + starts[:, None]).ravel()
+                pos = np.repeat(np.repeat(starts, v), lengths) + cols
+            else:  # a broadcast add is cheaper than the repeats
+                pos = (cols.reshape(starts.size, -1) + starts[:, None]).ravel()
             np.add.at(counters.reshape(-1), pos, _STEP[now].repeat(lengths))
-    iterations[trials] = iter_max
-    touched[trials] = touches
 
     success = np.ones(count, dtype=bool)
     success[trials] = ~S.any(axis=1)
-    ops = _op_table(n, v, w, incremental, iterations, touched)
-    return GroupResult(n, success, iterations, *_flat(flips), ops)
+    flip_trials, flip_positions = _flat(flips)
+    # a trial flips once per iteration it runs
+    iterations = np.bincount(flip_trials, minlength=count)
+    touches = 0
+    if incremental and w is None:
+        # one entry per counter touched: a flip's checks, each repeated by its row length
+        _, lengths = index.row_columns(index.column_checks(flip_positions))
+        touches = np.bincount(np.repeat(np.repeat(flip_trials, v), lengths), minlength=count)
+    ops = _op_table(n, v, w, incremental, iterations, iterations, touches)
+    return GroupResult(n, success, iterations, flip_trials, flip_positions, ops)
 
 
 def bfmax_decode_naive(
@@ -457,24 +440,24 @@ def _check_inputs(index: CodeIndex, r: int, iter_max: int) -> None:
         raise ValueError("iter_max must be non-negative")
 
 
-def _op_table(n: int, v: int, w: int | None, incremental: bool, iterations, touches) -> np.ndarray:
-    """Op counts of trials that ran ``iterations``, in ``OpCounts`` field
-    order along a last axis. Each iteration scans n counters and toggles v
-    syndrome bits; counters cost n*v adds per computation, once
-    (incremental) or every iteration. An incremental iteration touches the
-    counters along the v rows of the flipped column: v*w of them when every
-    row has length w, else ``touches`` tallies them."""
+def _op_table(n: int, v: int, w: int | None, incremental: bool, iterations, flips, touches=0) -> np.ndarray:
+    """Op counts of trials that ran ``iterations`` and made ``flips``, in
+    ``OpCounts`` field order along a last axis. Each iteration scans n
+    counters; counters cost n*v adds per computation, once (incremental) or
+    every iteration. A flip toggles v syndrome bits and, when incremental,
+    touches the counters along the v rows of the flipped column: v*w of them
+    when every row has length w, else ``touches`` counts them."""
     ops = np.empty(np.shape(iterations) + (4,), dtype=np.int64)
     ops[..., 0] = n * v * (1 if incremental else iterations)
     ops[..., 1] = n * iterations
-    ops[..., 2] = v * iterations
-    ops[..., 3] = v * w * iterations if incremental and w is not None else touches
+    ops[..., 2] = v * flips
+    ops[..., 3] = v * w * flips if incremental and w is not None else touches
     return ops
 
 
 def _ops(index: CodeIndex, incremental: bool, iterations: int, touches: int) -> OpCounts:
-    """``_op_table`` of one trial in one code, as ``OpCounts``."""
-    ops = _op_table(index.n, index.v, index.row_length, incremental, iterations, touches)
+    """``_op_table`` of one single-flip trial in one code, as ``OpCounts``."""
+    ops = _op_table(index.n, index.v, index.row_length, incremental, iterations, iterations, touches)
     return OpCounts(*ops.tolist())
 
 

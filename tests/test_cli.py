@@ -314,6 +314,17 @@ def test_simulate_usage_error(tmp_path, capsys):
     assert not out.exists()  # a rejected plan creates no output file
 
 
+def test_simulate_code_refuses_shape_flags(tmp_path, capsys):
+    code = tmp_path / "c13.code"
+    assert run_cli("gen", "--r", 13, "--v", 3, "--seed", 7, "--out", code) == 0
+    out = tmp_path / "sim.csv"
+    for flags in (("--code-seed", 4, "--r", 99, "--v", 5), ("--r", 13), ("--v", 3), ("--code-seed", 4)):
+        assert run_cli("simulate", "--code", code, *flags, "--t", 2, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "simulate: error: give --code or --r/--v, not both\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-4"])
 def test_malformed_worker_env_fails_only_pool_commands(raw, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("BFKIT_WORKERS", raw)
@@ -403,6 +414,28 @@ def test_decode_errors_exit_one(toy_file, tmp_path, capsys):
         "--decoder", "bfmax-sparse", "--iter-max", 1,
     ) == 1
     assert "decode: error: line 2: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("1,x", "bad --error-support"),
+    ("5,1,5", "--error-support repeats position 5"),
+    ("99", "--error-support position 99 out of range [0, 26)"),
+    ("3,-1", "--error-support position -1 out of range [0, 26)"),
+])
+def test_decode_error_support_errors_say_what_is_wrong(toy_file, raw, message, capsys):
+    assert run_cli("decode", "--code", toy_file, "--error-support", raw, "--iter-max", 2) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"decode: error: {message}\n"
+
+
+def test_decode_error_support_in_any_order(toy_file, capsys):
+    printed = []
+    for raw in ("1,5,20", "20,1,5", " 5 ,20,1"):
+        assert run_cli("decode", "--code", toy_file, "--error-support", raw, "--iter-max", 4) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] == printed[2]
+    assert json.loads(printed[0])["recovered_equals_input"] is not None
 
 
 def test_decode_takes_exactly_one_input(toy_file, tmp_path, capsys):

@@ -60,6 +60,47 @@ def test_failure_means_not_exact_recovery():
     assert report.failures >= report.miscorrections
 
 
+# Sums over 300 trials of the iterations and the four op counts, recorded
+# from a kernel that tallied ragged counter touches per iteration: n*v=8
+# adds per counter computation, n=4 comparisons per iteration, v=2 syndrome
+# toggles per flip, and 6 touches for a flip of column 0 or 1 (rows of 3
+# and 3) but 5 for column 2 or 3.
+RAGGED_TOTALS = {
+    "bfmax-sparse": (247, (8 * 300, 4 * 247, 2 * 247, 1289)),
+    "bfmax-naive": (247, (8 * 247, 4 * 247, 2 * 247, 0)),
+    "bf": (355, (8 * 355, 4 * 355, 1250, 0)),
+}
+
+
+@pytest.mark.parametrize("decoder", list(RAGGED_TOTALS))
+def test_ragged_code_report_is_pinned(decoder):
+    # rows of 3, 3 and 2 checks, with more iterations than errors
+    H = toy_code_from_columns([[0, 1], [0, 1], [0, 2], [1, 2]], 3)
+    thresholds = (2, 2, 1, 2) if decoder == "bf" else None
+    reports = [
+        run_sim(SimPlan(
+            source=FixedCodeSource(H), t=2, decoder=decoder, iter_max=4, thresholds=thresholds,
+            max_trials=300, master_seed=3, chunk_size=chunk,
+        )).deterministic_fields()
+        for chunk in (1, 7, 512)
+    ]
+    iterations, ops = RAGGED_TOTALS[decoder]
+    ci_low, ci_high = clopper_pearson(300, 300)
+    assert reports[0] == {
+        "n": 4, "r": 3, "v": 2, "w_avg": 8 / 3, "t": 2, "decoder": decoder, "iter_max": 4,
+        "trials_run": 300, "failures": 300, "miscorrections": 300,
+        "dfr_point": 1.0, "ci_low": ci_low, "ci_high": ci_high,
+        "mean_iterations": iterations / 300,
+        "mean_op_counts": dict(zip(
+            ("counter_init_adds", "argmax_comparisons", "syndrome_bit_updates",
+             "counter_update_touches"),
+            (total / 300 for total in ops),
+        )),
+        "master_seed": 3, "seed_scheme": "splitmix64-v1", "source_desc": "fixed(n=4,r=3,v=2)",
+    }
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_early_stop_at_target_failures():
     stopped = run_sim(toy_plan(t=3, max_trials=3000, target_failures=5, chunk_size=64))
     assert stopped.failures == 5
