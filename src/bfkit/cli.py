@@ -184,14 +184,20 @@ def _resolve_source(args):
     return FreshQcSource(args.r, args.v)
 
 
+def _int_list(raw: str, flag: str) -> list[int]:
+    """The integers of a comma-separated ``flag`` value, blank for none.
+    Whitespace around a token is fine; a blank token beside a comma is not."""
+    try:
+        return [int(tok) for tok in raw.split(",")] if raw.strip() else []
+    except ValueError:
+        raise ValueError(f"bad {flag}") from None
+
+
 def _parse_thresholds(raw: str | None, iter_max: int) -> tuple[int, ...] | None:
     """``--thresholds`` per iteration; a single value serves every iteration."""
     if raw is None:
         return None
-    try:
-        values = tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        values = ()
+    values = tuple(_int_list(raw, "--thresholds"))
     if not values:
         raise ValueError("bad --thresholds")
     return values * iter_max if len(values) == 1 else values
@@ -265,10 +271,7 @@ def _cmd_simulate(args) -> int:
 
 def _parse_error_support(raw: str, n: int) -> list[int]:
     """``--error-support`` positions, in any order, each once and in [0, n)."""
-    try:
-        support = [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError("bad --error-support") from None
+    support = _int_list(raw, "--error-support")
     for k, i in enumerate(support):
         if not 0 <= i < n:
             raise ValueError(f"--error-support position {i} out of range [0, {n})")

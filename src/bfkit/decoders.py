@@ -28,9 +28,10 @@ row's pick in one pass, bit for bit as ``Generator.integers`` would.
 ``bfmax_decode_naive`` and ``bfmax_decode_sparse`` decode one syndrome in
 their own loop over (r,) syndrome and (n,) counter arrays, drawing ties
 with the generator they are given, and report each iteration to an
-``on_iteration`` hook. They share no logic with the lockstep kernel, so
-the tests that compare a group with its trials decoded one by one compare
-two implementations.
+``on_iteration`` hook. They find their flips without the lockstep kernel,
+so the tests that compare a group with its trials decoded one by one
+compare two implementations. Their op counts, like the kernel's, are read
+off their flips by the one op rule, ``_op_table``.
 
 The counter of position i is the number of unsatisfied parity checks it
 participates in; it always lies in [0, v]. Decoding stops when the working
@@ -98,17 +99,17 @@ class DecoderState:
     """A single-flip decode's working state after an iteration, as an
     ``on_iteration`` hook sees it: the code ``H``, the working (r,)
     ``syndrome`` and (n,) ``counters`` (live arrays; copy them to keep them)
-    and the op counts so far (``ops``, computed on access)."""
+    and the op counts so far (``ops``, read off the live flip list)."""
 
-    def __init__(self, H: SparseParityCheck, incremental: bool):
+    def __init__(self, H: SparseParityCheck, incremental: bool, flips: list):
         self.H = H
         self.syndrome = self.counters = None
         self._incremental = incremental
-        self._iterations = self._touches = 0
+        self._flips = flips
 
     @property
     def ops(self) -> OpCounts:
-        return _ops(self.H.index, self._incremental, self._iterations, self._touches)
+        return _ops(self.H.index, self._incremental, self._flips)
 
 
 @dataclass(frozen=True)
@@ -230,8 +231,8 @@ def _bf_group(index: CodeIndex, syndromes: np.ndarray, thresholds: Sequence[int]
     per threshold. An iteration's flips are logged in position order."""
     count, r = syndromes.shape
     _check_inputs(index, r, len(thresholds))
-    n, v = index.n, index.v
-    check_threshold_ceiling(v, thresholds)
+    n = index.n
+    check_threshold_ceiling(index.v, thresholds)
     trials = np.arange(count)
     S = syndromes.astype(np.uint8)
     iterations = np.full(count, len(thresholds), dtype=np.int64)
@@ -250,17 +251,23 @@ def _bf_group(index: CodeIndex, syndromes: np.ndarray, thresholds: Sequence[int]
         toggles = np.bincount(checks.ravel(), minlength=S.size) & 1
         S ^= toggles.astype(np.uint8).reshape(S.shape)
         flips.append((trials[rows], cols))
+    return _group_result(index, count, trials, S, flips, False, iterations)
+
+
+def _group_result(index: CodeIndex, count, trials, S, flips, incremental, iterations=None) -> GroupResult:
+    """The ``GroupResult`` of a group of ``count`` trials that made ``flips``,
+    per iteration (the trials that flipped, their positions), and left
+    ``trials`` with the syndromes ``S``; the others reached a zero syndrome.
+    A single-flip trial flips once per iteration, so ``iterations``
+    defaults to each trial's flip count."""
     success = np.ones(count, dtype=bool)
     success[trials] = ~S.any(axis=1)
-    flip_trials, flip_positions = _flat(flips)
-    ops = _op_table(n, v, None, False, iterations, np.bincount(flip_trials, minlength=count))
-    return GroupResult(n, success, iterations, flip_trials, flip_positions, ops)
-
-
-def _flat(flips: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The per-iteration (trials, positions) of ``flips``, concatenated."""
     empty = np.empty(0, dtype=np.intp)
-    return tuple(np.concatenate(column) for column in zip((empty, empty), *flips))
+    flip_trials, flip_positions = (np.concatenate(column) for column in zip((empty, empty), *flips))
+    made = np.bincount(flip_trials, minlength=count)
+    iterations = made if iterations is None else iterations
+    ops = _op_table(index, incremental, iterations, made, flip_trials, flip_positions)
+    return GroupResult(index.n, success, iterations, flip_trials, flip_positions, ops)
 
 
 def _bfmax_group(
@@ -339,18 +346,7 @@ def _bfmax_group(
                 pos = (cols.reshape(starts.size, -1) + starts[:, None]).ravel()
             np.add.at(counters.reshape(-1), pos, _STEP[now].repeat(lengths))
 
-    success = np.ones(count, dtype=bool)
-    success[trials] = ~S.any(axis=1)
-    flip_trials, flip_positions = _flat(flips)
-    # a trial flips once per iteration it runs
-    iterations = np.bincount(flip_trials, minlength=count)
-    touches = 0
-    if incremental and w is None:
-        # one entry per counter touched: a flip's checks, each repeated by its row length
-        _, lengths = index.row_columns(index.column_checks(flip_positions))
-        touches = np.bincount(np.repeat(np.repeat(flip_trials, v), lengths), minlength=count)
-    ops = _op_table(n, v, w, incremental, iterations, iterations, touches)
-    return GroupResult(n, success, iterations, flip_trials, flip_positions, ops)
+    return _group_result(index, count, trials, S, flips, incremental)
 
 
 def bfmax_decode_naive(
@@ -397,15 +393,14 @@ def _bfmax_decode(
     (n,) counters of ``H.index``, ties drawn with ``rng.integers``."""
     index = H.index
     _check_inputs(index, s.bits.size, iter_max)
-    n, v, w = index.n, index.v, index.row_length
+    v = index.v
     syn = s.bits.astype(np.uint8)
     # the syndrome weight is tracked, so liveness needs no scan of syn
     weight = np.count_nonzero(syn)
     counters = index.unsatisfied_counts(syn[None])[0] if incremental else None
-    state = DecoderState(H, incremental) if on_iteration is not None else None
     flips = []
-    touches = 0  # counter updates, tallied only for ragged codes
-    for it in range(1, iter_max + 1):
+    state = DecoderState(H, incremental, flips) if on_iteration is not None else None
+    for _ in range(iter_max):
         if not weight:
             break
         if not incremental:
@@ -421,15 +416,12 @@ def _bfmax_decode(
         weight += 2 * np.count_nonzero(now) - v
         if incremental:
             cols, lengths = index.row_columns(checks)
-            if w is None:
-                touches += int(lengths.sum())
             np.add.at(counters, cols, _STEP[now].repeat(lengths))
         if state is not None:
             state.syndrome, state.counters = syn, counters
-            state._iterations, state._touches = it, touches
             on_iteration(state)
-    ops = _ops(index, incremental, len(flips), touches)
-    return DecodeOutcome(not weight, len(flips), tuple(map(int, flips)), ops, n)
+    ops = _ops(index, incremental, flips)
+    return DecodeOutcome(not weight, len(flips), tuple(map(int, flips)), ops, index.n)
 
 
 def _check_inputs(index: CodeIndex, r: int, iter_max: int) -> None:
@@ -440,25 +432,32 @@ def _check_inputs(index: CodeIndex, r: int, iter_max: int) -> None:
         raise ValueError("iter_max must be non-negative")
 
 
-def _op_table(n: int, v: int, w: int | None, incremental: bool, iterations, flips, touches=0) -> np.ndarray:
-    """Op counts of trials that ran ``iterations`` and made ``flips``, in
-    ``OpCounts`` field order along a last axis. Each iteration scans n
-    counters; counters cost n*v adds per computation, once (incremental) or
-    every iteration. A flip toggles v syndrome bits and, when incremental,
-    touches the counters along the v rows of the flipped column: v*w of them
-    when every row has length w, else ``touches`` counts them."""
-    ops = np.empty(np.shape(iterations) + (4,), dtype=np.int64)
+def _op_table(index: CodeIndex, incremental: bool, iterations, flips, flip_trials, flip_positions) -> np.ndarray:
+    """Op counts of trials that ran ``iterations`` and made ``flips`` (ints
+    for one trial, else (B,) arrays), in ``OpCounts`` field order along a
+    last axis. Each iteration scans n counters; counters cost n*v adds per
+    computation, once (incremental) or every iteration. A flip toggles v
+    syndrome bits and, when incremental, touches the counters along the v
+    rows of the flipped column: v*w when every row has length w, else the
+    lengths of the rows of ``flip_positions`` (trials ``flip_trials``)."""
+    n, v, w = index.n, index.v, index.row_length
+    ops = np.zeros(np.shape(iterations) + (4,), dtype=np.int64)
     ops[..., 0] = n * v * (1 if incremental else iterations)
     ops[..., 1] = n * iterations
     ops[..., 2] = v * flips
-    ops[..., 3] = v * w * flips if incremental and w is not None else touches
+    if incremental and w is not None:
+        ops[..., 3] = v * w * flips
+    elif incremental:  # one entry per counter touched: a flip's checks, each repeated by its row length
+        _, lengths = index.row_columns(index.column_checks(np.asarray(flip_positions, dtype=np.intp)))
+        touched = np.repeat(np.repeat(flip_trials, v), lengths)
+        ops[..., 3] = np.bincount(touched, minlength=np.size(iterations)).reshape(np.shape(iterations))
     return ops
 
 
-def _ops(index: CodeIndex, incremental: bool, iterations: int, touches: int) -> OpCounts:
-    """``_op_table`` of one single-flip trial in one code, as ``OpCounts``."""
-    ops = _op_table(index.n, index.v, index.row_length, incremental, iterations, iterations, touches)
-    return OpCounts(*ops.tolist())
+def _ops(index: CodeIndex, incremental: bool, flips: list) -> OpCounts:
+    """The op counts of one single-flip trial in one code that made ``flips``."""
+    made = len(flips)
+    return OpCounts(*_op_table(index, incremental, made, made, np.zeros(made, dtype=np.intp), flips).tolist())
 
 
 def decode_group(

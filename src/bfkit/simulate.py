@@ -7,26 +7,26 @@ size chunks; chunks may run on a worker pool, but aggregation always scans
 trial indices in order and stops at the exact trial where the failure
 target is met, so every report is bit-identical for any worker count.
 
-A code source is one of two kinds. A shared source holds one code for
-every trial (``code``): an in-memory code, a file, or a seeded
-quasi-cyclic key, built on first use. A fresh source has no shared code
-(``code`` is None) and builds each trial's quasi-cyclic key from that
-trial's key stream (``keys``, a group of trials at once). Every trial, in
-``run_sim`` and in the naive-vs-sparse differential campaign alike, is set
-up by the same step, ``_group_inputs``, which draws a group's codes, errors
-and tie-break seeds together. A chunk's trials are decoded in
-lockstep groups of ``_GROUP`` (128) by ``decode_group``; a single-flip trial
-keeps its own tie-break stream, so group and chunk boundaries cannot move
-a result.
+Every code source hands out a group's codes (``keys``, from the trials'
+key seeds). A shared source gives one code to every trial (``code``): an
+in-memory code, a file, or a seeded quasi-cyclic key, built on first use.
+A fresh source builds each trial's quasi-cyclic key from that trial's key
+stream. Every trial, in ``run_sim`` and in the naive-vs-sparse
+differential campaign alike, is set up by the same step,
+``_group_inputs``, which draws a group's codes, errors and tie-break seeds
+together. A chunk's trials are decoded in lockstep groups of ``_GROUP``
+(128) by ``decode_group``; a single-flip trial keeps its own tie-break
+stream, so group and chunk boundaries cannot move a result.
 
 A trial counts as a failure unless the decoder reports success AND the
 recovered pattern equals the sampled error; successful decodes of the
 wrong pattern (matching syndrome, different support) are miscorrections
 and are tallied separately as well. Both are read from a group's result
-arrays at once, with no per-trial objects: a chunk returns per-trial
-arrays, and ``run_sim`` sums them up to the trial that meets the failure
-target. The differential campaign compares the two decoders' flip arrays
-and builds a ``Mismatch`` only for a trial that differs.
+arrays at once, with no per-trial objects: a chunk returns one row per
+trial (failed, miscorrected, iterations, the four op counts), and
+``run_sim`` sums the prefix of the rows that ends at the trial that meets
+the failure target. The differential campaign compares the two decoders'
+flip arrays and builds a ``Mismatch`` only for a trial that differs.
 """
 
 from __future__ import annotations
@@ -82,6 +82,10 @@ class _SharedCodeSource:
     def profile(self) -> SparseParityCheck:
         return self.code
 
+    def keys(self, key_seeds: np.ndarray) -> CodeIndex:
+        """The shared code, once per key seed (the seeds go unused)."""
+        return CodeIndex([self.code] * len(key_seeds))
+
 
 @dataclass(frozen=True)
 class FixedCodeSource(_SharedCodeSource):
@@ -133,7 +137,6 @@ class FreshQcSource:
 
     r: int
     v: int
-    code = None  # no code is shared; ``keys`` builds each group's
 
     def profile(self) -> SparseParityCheck:
         """The seed-0 key; every fresh key has its shape."""
@@ -254,8 +257,9 @@ def checked_profile(plan: SimPlan) -> SparseParityCheck:
     return profile
 
 
-def _groups(lo: int, hi: int):
-    return ((g, min(g + _GROUP, hi)) for g in range(lo, hi, _GROUP))
+def _spans(lo: int, hi: int, size: int):
+    """(start, end) of each run of ``size`` trials of ``lo`` to ``hi - 1``."""
+    return ((start, min(start + size, hi)) for start in range(lo, hi, size))
 
 
 def _group_inputs(plan: SimPlan, lo: int, hi: int):
@@ -268,31 +272,23 @@ def _group_inputs(plan: SimPlan, lo: int, hi: int):
     error stream, both drawn here for the whole group at once.
     """
     child = child_seeds(plan.master_seed, np.arange(lo, hi))
-    source = plan.source
-    if source.code is None:
-        index = source.keys(child_seeds(child, STREAM_KEY))
-    else:
-        index = CodeIndex([source.code] * (hi - lo))
+    index = plan.source.keys(child_seeds(child, STREAM_KEY))
     errors = sample_distinct_group(child_seeds(child, STREAM_ERROR), index.n, plan.t)[:, 0]
     return index, errors, index.syndromes(errors), child_seeds(child, STREAM_TIEBREAK).tolist()
 
 
-def _run_chunk(plan: SimPlan, lo: int, hi: int):
-    """Whether each of trials ``lo`` to ``hi - 1`` failed and whether it
-    miscorrected, its iterations and its (trials, 4) op counts, as arrays."""
-    columns = []
-    for g_lo, g_hi in _groups(lo, hi):
+def _run_chunk(plan: SimPlan, lo: int, hi: int) -> np.ndarray:
+    """One int64 row per trial of ``lo`` to ``hi - 1``: whether it failed,
+    whether it miscorrected, its iterations and its four op counts."""
+    rows = []
+    for g_lo, g_hi in _spans(lo, hi, _GROUP):
         index, errors, S, seeds = _group_inputs(plan, g_lo, g_hi)
         result = decode_group(
             plan.decoder, index, S, plan.effective_iter_max, thresholds=plan.thresholds, tie_seeds=seeds
         )
         exact = result.success & result.recovers(errors)
-        columns.append((~exact, result.success & ~exact, result.iterations, result.ops))
-    return [np.concatenate(column) for column in zip(*columns)]
-
-
-def _chunks(total: int, size: int):
-    return ((lo, min(lo + size, total)) for lo in range(0, total, size))
+        rows.append(np.column_stack((~exact, result.success & ~exact, result.iterations, result.ops)))
+    return np.concatenate(rows)
 
 
 def _ordered_chunk_results(plan: SimPlan, runner):
@@ -303,7 +299,7 @@ def _ordered_chunk_results(plan: SimPlan, runner):
     they are consumed, so a huge ``max_trials`` costs nothing up front.
     The caller may stop consuming early; pending futures are then discarded.
     """
-    spans = _chunks(plan.max_trials, plan.chunk_size)
+    spans = _spans(0, plan.max_trials, plan.chunk_size)
     if plan.worker_count == 1:
         for span in spans:
             yield runner(plan, *span)
@@ -334,24 +330,21 @@ def run_sim(plan: SimPlan) -> SimReport:
     warn_low_thresholds(profile.v, plan.thresholds, stacklevel=2)
     start = time.perf_counter()
 
-    trials = failures = miscorrections = iter_sum = 0
-    op_sums = [0, 0, 0, 0]
+    trials, totals = 0, [0] * 7  # the column sums of the chunk rows run so far
     gen = _ordered_chunk_results(plan, _run_chunk)
-    for failed, miscorrected, iterations, ops in gen:
-        so_far = np.cumsum(failed)
-        stop = failed.size
-        if failures + int(so_far[-1]) >= plan.target_failures:
+    for rows in gen:
+        so_far = np.cumsum(rows[:, 0])
+        stop = so_far.size
+        if totals[0] + int(so_far[-1]) >= plan.target_failures:
             # the run ends at the trial that meets the target
-            stop = int(np.searchsorted(so_far, plan.target_failures - failures)) + 1
+            stop = int(np.searchsorted(so_far, plan.target_failures - totals[0])) + 1
         trials += stop
-        failures += int(so_far[stop - 1])
-        miscorrections += int(np.count_nonzero(miscorrected[:stop]))
-        iter_sum += int(iterations[:stop].sum())
-        op_sums = [a + b for a, b in zip(op_sums, ops[:stop].sum(axis=0).tolist())]
-        if failures >= plan.target_failures:
+        totals = [a + b for a, b in zip(totals, rows[:stop].sum(axis=0).tolist())]
+        if totals[0] >= plan.target_failures:
             gen.close()
             break
 
+    failures, miscorrections, iter_sum, *op_sums = totals
     ci_low, ci_high = clopper_pearson(failures, trials)
     return SimReport(
         n=profile.n,
@@ -401,7 +394,7 @@ class DifferentialReport:
 
 def _run_diff_chunk(plan: SimPlan, lo: int, hi: int):
     mismatches = []
-    for g_lo, g_hi in _groups(lo, hi):
+    for g_lo, g_hi in _spans(lo, hi, _GROUP):
         index, _, S, seeds = _group_inputs(plan, g_lo, g_hi)
         naive = decode_group("bfmax-naive", index, S, plan.effective_iter_max, tie_seeds=seeds)
         sparse = decode_group("bfmax-sparse", index, S, plan.effective_iter_max, tie_seeds=seeds)

@@ -290,13 +290,24 @@ def test_simulate_output_is_pinned(tmp_path, monkeypatch):
 
 def test_simulate_single_threshold_serves_every_iteration(capsys):
     outputs = []
-    for thresholds in ("2", "2,2"):
+    for thresholds in ("2", "2,2", " 2, 2 "):
         assert run_cli(
             "simulate", "--r", 13, "--v", 3, "--t", 2, "--decoder", "bf",
             "--thresholds", thresholds, "--max-trials", 100, "--seed", 1,
         ) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("raw", ["2,,2", "2,", ",2"])
+def test_simulate_refuses_a_blank_threshold(raw, capsys):
+    assert run_cli(
+        "simulate", "--r", 13, "--v", 3, "--t", 3, "--decoder", "bf",
+        "--thresholds", raw, "--max-trials", 10,
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "simulate: error: bad --thresholds\n"
 
 
 def test_simulate_usage_error(tmp_path, capsys):
@@ -418,6 +429,7 @@ def test_decode_errors_exit_one(toy_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("raw, message", [
     ("1,x", "bad --error-support"),
+    ("1,,2", "bad --error-support"),
     ("5,1,5", "--error-support repeats position 5"),
     ("99", "--error-support position 99 out of range [0, 26)"),
     ("3,-1", "--error-support position -1 out of range [0, 26)"),
@@ -431,10 +443,10 @@ def test_decode_error_support_errors_say_what_is_wrong(toy_file, raw, message, c
 
 def test_decode_error_support_in_any_order(toy_file, capsys):
     printed = []
-    for raw in ("1,5,20", "20,1,5", " 5 ,20,1"):
+    for raw in ("1,5,20", "20,1,5", " 5 ,20,1", "1, 5, 20"):
         assert run_cli("decode", "--code", toy_file, "--error-support", raw, "--iter-max", 4) == 0
         printed.append(capsys.readouterr().out)
-    assert printed[0] == printed[1] == printed[2]
+    assert printed[0] == printed[1] == printed[2] == printed[3]
     assert json.loads(printed[0])["recovered_equals_input"] is not None
 
 

@@ -28,6 +28,7 @@ from bfkit.rng import make_rng
 
 from helpers import (
     bf_decode_dense_reference,
+    bfmax_reference,
     dense_matrix,
     recompute_counters,
     toy_code_from_columns,
@@ -281,6 +282,23 @@ def test_constant_work_per_iteration_on_regular_codes():
             assert snap.syndrome_bit_updates - prev.syndrome_bit_updates == v
             assert snap.counter_init_adds == n * v  # never recomputed
             prev = snap
+
+
+def test_hook_ops_on_ragged_rows_equal_reference():
+    H = toy_code_from_columns([[0, 1], [0, 1], [0, 2], [1, 2]], 3)  # rows of 3, 3 and 2
+    assert not H.is_row_regular
+    checked = 0
+    for support in [(0,), (2,), (3,), (0, 3), (1, 2), (2, 3), (0, 2, 3)]:
+        s = syndrome(H, ErrorPattern.from_support(H.n, support))
+        for seed in range(4):
+            for single, incremental in ((bfmax_decode_naive, False), (bfmax_decode_sparse, True)):
+                snapshots = []
+                single(H, s, 6, make_rng(seed), on_iteration=lambda st: snapshots.append(st.ops))
+                for k, snap in enumerate(snapshots, 1):
+                    *_, ops = bfmax_reference(H, s.bits, k, make_rng(seed), incremental=incremental)
+                    assert snap == ops
+                    checked += 1
+    assert checked > 40
 
 
 def test_success_contract_and_weight_bound():

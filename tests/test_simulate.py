@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,29 @@ def test_early_stop_at_target_failures():
     assert full.failures == 5
     probe = run_sim(toy_plan(t=3, max_trials=stopped.trials_run - 1, chunk_size=64))
     assert probe.failures == 4
+
+
+@pytest.mark.parametrize("decoder, r, t, thresholds", [
+    ("bfmax-sparse", 13, 4, None),
+    ("bf", 37, 3, (2, 3) * 3),
+])
+def test_early_stopped_report_equals_report_of_its_trials(decoder, r, t, thresholds):
+    # every total, not only the failures, stops at the trial that meets the
+    # target; the miscorrections, iterations and ops of the rest of its chunk
+    # are left out
+    for chunk_size in (1, 7, 64):
+        for workers in (1, 2):
+            plan = SimPlan(
+                QcCodeSource(r, 3, 7), t=t, decoder=decoder, iter_max=6, thresholds=thresholds,
+                max_trials=3000, target_failures=10, master_seed=1,
+                chunk_size=chunk_size, worker_count=workers,
+            )
+            stopped = run_sim(plan)
+            assert stopped.failures == 10 and stopped.miscorrections > 0
+            if chunk_size > 1:
+                assert stopped.trials_run % chunk_size  # the stop lies inside a chunk
+            exact = run_sim(replace(plan, max_trials=stopped.trials_run, target_failures=10**9))
+            assert stopped.deterministic_fields() == exact.deterministic_fields()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
