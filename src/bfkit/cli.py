@@ -152,7 +152,7 @@ def _cmd_predict(args) -> int:
                 f"{_fmt(pred.dfr_linear)},{_fmt(pred.log2_dfr)},{pred.mode},{FORMAT_VERSION}"
             )
     if args.json:
-        text = "\n".join(json.dumps(obj, sort_keys=True) for obj in json_objs) + "\n"
+        text = "\n".join(json.dumps(obj, sort_keys=True, allow_nan=False) for obj in json_objs) + "\n"
     else:
         text = PREDICT_CSV_COLUMNS + "\n" + "\n".join(rows) + "\n"
     _emit(text, args.out)

@@ -2,13 +2,13 @@
 
 A parity-check matrix is held column-sparse. A quasi-cyclic code is stored
 as the first column of each circulant block; any other code as the v row
-indices of each of its columns. Tables a caller asks for (the full column
-table of a quasi-cyclic code, the CSR row view of any code) are built on
-first use. ``CodeIndex`` does the index arithmetic the decoders and
-``syndrome`` need, for one code or for a group of trials' codes, so no other
-module reads the storage format. Syndromes are dense bit vectors (one byte
-per bit), error vectors are sorted index lists. Indices are 0-based
-everywhere, including file formats.
+indices of each of its columns. The full column table of a quasi-cyclic
+code is built only when a caller asks for it. ``CodeIndex`` does the index
+arithmetic the decoders and ``syndrome`` need, for one code or for a group
+of trials' codes, so no other module reads the storage format; its
+``row_columns`` is the one reader of a code's rows. Syndromes are dense bit
+vectors (one byte per bit), error vectors are sorted index lists. Indices
+are 0-based everywhere, including file formats.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import numpy as np
 from .rng import make_rng, sample_distinct, sample_distinct_group
 
 _INDEX_DTYPE = np.int32
+# The decoders' counter type: it must hold a column weight v.
+_COUNTER_DTYPE = np.int16
 
 # Stub swaps ``random_regular_code`` tries before giving up on a simple graph.
 _MAX_SWAPS = 100_000
@@ -45,11 +47,11 @@ class SparseParityCheck:
     first-column support of each circulant block of a quasi-cyclic code
     (column k*r + c has support (S_k + c) mod r), or ``column_table``, an
     (n, v) array whose row i holds the sorted row indices of column i.
-    ``col_supports`` and the CSR row view (``row_indices``/``row_ptr``) are
-    derived from it on first use, so every view is transpose-consistent by
-    construction. Instances are immutable and safe to share across threads
-    and processes. Build them with ``from_col_supports`` or
-    ``from_qc_first_columns``.
+    ``col_supports`` is derived from it on first use. A code's rows are
+    read through its ``index`` (``CodeIndex.row_columns``), so the rows are
+    the transpose of the columns by construction. Instances are immutable
+    and safe to share across threads and processes. Build them with
+    ``from_col_supports`` or ``from_qc_first_columns``.
     """
 
     n: int
@@ -61,8 +63,9 @@ class SparseParityCheck:
     def __post_init__(self):
         if self.n < 1 or self.r < 1 or self.v < 1:
             raise ValueError("n, r and v must be positive")
-        if self.v >= 1 << 15:
-            raise ValueError("column weight must fit a 16-bit counter")
+        counter = np.iinfo(_COUNTER_DTYPE)
+        if self.v > counter.max:
+            raise ValueError(f"column weight must fit a {counter.bits}-bit counter")
         if (self.qc_first_columns is None) == (self.column_table is None):
             raise ValueError("give exactly one of qc_first_columns and column_table")
         if self.column_table is not None:
@@ -101,28 +104,22 @@ class SparseParityCheck:
 
     @cached_property
     def _row_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        rows_flat = self.col_supports.ravel()
+        """The columns of every row, concatenated in row order, and where
+        each row begins: read only by a table code's ``CodeIndex``."""
+        rows_flat = self.column_table.ravel()
         col_of_entry = np.repeat(np.arange(self.n, dtype=_INDEX_DTYPE), self.v)
         # Stable sort by row keeps column indices ascending within each row.
         row_indices = col_of_entry[np.argsort(rows_flat, kind="stable")]
         row_ptr = np.zeros(self.r + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows_flat, minlength=self.r), out=row_ptr[1:])
+        np.cumsum(self.row_weights, out=row_ptr[1:])
         return row_indices, row_ptr
-
-    @property
-    def row_indices(self) -> np.ndarray:
-        return self._row_csr[0]
-
-    @property
-    def row_ptr(self) -> np.ndarray:
-        return self._row_csr[1]
 
     @cached_property
     def row_weights(self) -> np.ndarray:
         if self.qc_first_columns is not None:
             # every row meets v columns of each block
             return np.full(self.r, self.n * self.v // self.r, dtype=np.int64)
-        return np.diff(self.row_ptr)
+        return np.bincount(self.column_table.ravel(), minlength=self.r)
 
     @cached_property
     def w_max(self) -> int:
@@ -141,9 +138,6 @@ class SparseParityCheck:
     def index(self) -> "CodeIndex":
         """The ``CodeIndex`` of this code alone, built on first use."""
         return CodeIndex([self])
-
-    def row_support(self, j: int) -> np.ndarray:
-        return self.row_indices[self.row_ptr[j]:self.row_ptr[j + 1]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseParityCheck):
@@ -257,15 +251,16 @@ class CodeIndex:
             base = self._row_base if rows.ndim == 1 else self._row_base[:, None, :]
             return self._wrap[rows[..., None] + base].ravel(), self.row_length
         H = self._table
+        row_indices, row_ptr = H._row_csr
         rows = rows.ravel()
         lengths = H.row_weights[rows]
         ends = np.cumsum(lengths)
         total = int(ends[-1]) if ends.size else 0
-        entries = np.repeat(H.row_ptr[rows] - ends + lengths, lengths) + np.arange(total)
-        return H.row_indices[entries], lengths
+        entries = np.repeat(row_ptr[rows] - ends + lengths, lengths) + np.arange(total)
+        return row_indices[entries], lengths
 
     def unsatisfied_counts(self, S: np.ndarray) -> np.ndarray:
-        """(k, n) int16: for each column, how many of its checks are set in
+        """(k, n) counters: for each column, how many of its checks are set in
         row i of the (k, r) syndromes ``S``. Quasi-cyclic block k of row i is
         the sum of its v cyclic shifts of the syndrome by S_k; a table code
         takes a bincount over the columns of the set checks."""
@@ -277,18 +272,18 @@ class CodeIndex:
             doubled.flags.writeable = False
             row, col = doubled.strides
             shifts = np.ndarray((count, r, r), doubled.dtype, buffer=doubled, strides=(row, col, col))
-            counts = np.empty((count, self.n), dtype=np.int16)
+            counts = np.empty((count, self.n), dtype=_COUNTER_DTYPE)
             step = max(1, _GATHER_BYTES // (self._firsts[0].size * r))
             for lo in range(0, count, step):
                 hi = min(lo + step, count)
                 rows = np.arange(hi - lo)[:, None, None]
                 picked = shifts[lo:hi][rows, self._firsts[lo:hi]]
-                counts[lo:hi] = picked.sum(axis=2, dtype=np.int16).reshape(hi - lo, self.n)
+                counts[lo:hi] = picked.sum(axis=2, dtype=_COUNTER_DTYPE).reshape(hi - lo, self.n)
             return counts
         rows, checks = np.divmod(np.flatnonzero(S), r)
         cols, lengths = self.row_columns(checks)
         pos = np.repeat(rows * self.n, lengths) + cols
-        return np.bincount(pos, minlength=count * self.n).astype(np.int16).reshape(count, self.n)
+        return np.bincount(pos, minlength=count * self.n).astype(_COUNTER_DTYPE).reshape(count, self.n)
 
     def syndromes(self, errors: np.ndarray) -> np.ndarray:
         """(k, r) syndrome bits of the (k, t) error supports."""
@@ -437,17 +432,15 @@ def random_regular_code(n: int, r: int, v: int, w: int, rng: np.random.Generator
     perm = rng.permutation(np.repeat(np.arange(n, dtype=_INDEX_DTYPE), v))
     total = perm.size
     for _ in range(_MAX_SWAPS):
-        rows = perm.reshape(r, w)
-        dup_row = -1
-        for j in range(r):
-            if w > 1 and np.unique(rows[j]).size != w:
-                dup_row = j
-                break
-        if dup_row < 0:
+        # Sorted rows put a repeat next to its twin: the first hit is the
+        # first bad row's smallest repeated column.
+        rows = np.sort(perm.reshape(r, w), axis=1)
+        hits = np.flatnonzero(rows[:, 1:] == rows[:, :-1])
+        if not hits.size:
             break
-        vals, counts = np.unique(rows[dup_row], return_counts=True)
-        dup_val = vals[counts > 1][0]
-        slot = dup_row * w + int(np.flatnonzero(rows[dup_row] == dup_val)[0])
+        dup_row, at = divmod(int(hits[0]), w - 1)
+        row = perm[dup_row * w:(dup_row + 1) * w]
+        slot = dup_row * w + int(np.flatnonzero(row == rows[dup_row, at])[0])
         other = int(rng.integers(0, total))
         perm[slot], perm[other] = perm[other], perm[slot]
     else:

@@ -52,10 +52,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .codes import CodeIndex, ErrorPattern, SparseParityCheck, Syndrome
+from .codes import _COUNTER_DTYPE, CodeIndex, ErrorPattern, SparseParityCheck, Syndrome
 from .rng import GroupDraws
 
-_COUNTER_DTYPE = np.int16
 # Counter move along a flipped check's row: -1 once satisfied, +1 once unsatisfied.
 _STEP = np.array([-1, 1], dtype=_COUNTER_DTYPE)
 # Tie-break words a group reads ahead per trial: one per iteration, up to this many.

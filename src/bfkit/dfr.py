@@ -267,7 +267,8 @@ class DfrPrediction:
             "t": self.t,
             "q": [float(q) for q in self.per_iteration_failure],
             "dfr": self.dfr_linear,
-            "log2_dfr": self.log2_dfr,
+            # JSON has no -Infinity: a DFR of 0 has a null logarithm
+            "log2_dfr": None if self.log_dfr == _NEG_INF else self.log2_dfr,
         }
 
 

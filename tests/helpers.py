@@ -157,7 +157,7 @@ def iteration_failure_direct(n: int, v: int, u: int, dist: CounterDistribution) 
 
 def gf2_rank(H: SparseParityCheck) -> int:
     """Rank of H over F2 by elimination on row-support sets."""
-    rows = [set(map(int, H.row_support(j))) for j in range(H.r)]
+    rows = [set(np.flatnonzero(row).tolist()) for row in dense_matrix(H)]
     pivots: dict[int, set[int]] = {}
     rank = 0
     for row in rows:
@@ -174,21 +174,26 @@ def gf2_rank(H: SparseParityCheck) -> int:
 
 def check_invariants(H: SparseParityCheck) -> None:
     """Exhaustive structural validation by a full transpose scan: constant
-    column weight, strictly increasing in-range row supports, and every row
-    entry confirmed by its column."""
+    column weight, distinct in-range columns in every row the decoders read
+    (``H.index.row_columns``), every row entry confirmed by its column, and
+    each row equal to the dense transpose's."""
     col_sets = [set(map(int, H.col_supports[i])) for i in range(H.n)]
     if any(len(s) != H.v for s in col_sets):
         raise AssertionError("column weight is not constant")
+    D = dense_matrix(H)
+    cols, lengths = H.index.row_columns(np.arange(H.r))
+    rows = np.split(cols, np.cumsum(np.broadcast_to(lengths, H.r))[:-1])
     seen = 0
-    for j in range(H.r):
-        sup = H.row_support(j)
+    for j, sup in enumerate(map(np.sort, rows)):
         if sup.size and (np.diff(sup) <= 0).any():
-            raise AssertionError(f"row {j} support not strictly increasing")
+            raise AssertionError(f"row {j} lists a column twice")
         if sup.size and (sup.min() < 0 or sup.max() >= H.n):
             raise AssertionError(f"row {j} support index out of range")
         for i in map(int, sup):
             if j not in col_sets[i]:
                 raise AssertionError(f"row {j} lists column {i}, column disagrees")
+        if not np.array_equal(sup, np.flatnonzero(D[j])):
+            raise AssertionError(f"row {j} differs from the dense transpose")
         seen += sup.size
     if seen != H.n * H.v:
         raise AssertionError("row/column entry counts disagree")
@@ -215,10 +220,11 @@ def bfmax_reference(H: SparseParityCheck, s_bits: np.ndarray, iter_max: int, rng
     """The single-flip decoder one trial at a time, written from the
     definition: ``argmax_scan`` picks each flip, and the counters are either
     recounted from the column table every iteration or updated along the
-    CSR rows of the flipped column's checks.
+    dense matrix's rows of the flipped column's checks.
 
     Returns (success, iterations, flip_log, OpCounts).
     """
+    D = dense_matrix(H).astype(np.int64)
     ops = OpCounts()
     syn = s_bits.astype(np.uint8).copy()
     counters = None
@@ -237,11 +243,11 @@ def bfmax_reference(H: SparseParityCheck, s_bits: np.ndarray, iter_max: int, rng
         checks = H.col_supports[i_star]
         ops.syndrome_bit_updates += checks.size
         if incremental:
-            ops.counter_update_touches += sum(H.row_support(int(j)).size for j in checks)
+            ops.counter_update_touches += int(D[checks].sum())
         syn[checks] ^= 1
         if incremental:
             for j in checks:
-                counters[H.row_support(int(j))] += 1 if syn[j] else -1
+                counters += D[j] if syn[j] else -D[j]
         flips.append(i_star)
         iterations = it
     return not syn.any(), iterations, flips, ops

@@ -109,7 +109,7 @@ def test_predict_full_reference_sweep(capsys):
 def test_predict_json_and_exact_are_pinned(capsys):
     assert run_cli("predict", "--r", 13, "--v", 3, "--t-min", 0, "--t-max", 3, "--json") == 0
     assert capsys.readouterr().out == (
-        '{"dfr": 0.0, "format_version": "1", "log2_dfr": -Infinity, "n": 26, "q": [], '
+        '{"dfr": 0.0, "format_version": "1", "log2_dfr": null, "n": 26, "q": [], '
         '"r": 13, "t": 0, "v": 3, "w": 6}\n'
         '{"dfr": 0.18192748112836207, "format_version": "1", "log2_dfr": -2.4585646085608714, '
         '"n": 26, "q": [0.18192748112836207], "r": 13, "t": 1, "v": 3, "w": 6}\n'
@@ -156,6 +156,21 @@ def run_python_m_bfkit(*argv):
         [sys.executable, "-m", "bfkit", *map(str, argv)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["fast", "exact"])
+def test_predict_json_is_strict_json(mode, capsys):
+    # a DFR of 0 has no finite log: its log2_dfr is null, not -Infinity
+    assert run_cli("predict", "--r", 13, "--v", 3, "--t-min", 0, "--t-max", 2, "--json", *mode) == 0
+    lines = capsys.readouterr().out.splitlines()
+    objs = [json.loads(line, parse_constant=_refuse_constant) for line in lines]
+    assert [obj["t"] for obj in objs] == [0, 1, 2]
+    assert (objs[0]["dfr"], objs[0]["log2_dfr"]) == (0.0, None)
+    assert all(obj["log2_dfr"] < 0 for obj in objs[1:])
 
 
 def test_python_m_bfkit_runs_the_cli():

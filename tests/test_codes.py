@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfkit import codes as codes_module
 from bfkit.codes import (
     CodeFormatError,
     ErrorPattern,
@@ -51,8 +54,9 @@ def test_qc_weight_one_blocks_are_shifted_identities():
 def test_qc_row_supports_match_dense_transpose():
     H = generate_qc(QcSeedSpec(13, 3, 42))
     D = dense_matrix(H)
-    for j in range(H.r):
-        np.testing.assert_array_equal(H.row_support(j), np.flatnonzero(D[j]))
+    cols, length = H.index.row_columns(np.arange(H.r))
+    for j, row in enumerate(cols.reshape(H.r, length)):
+        np.testing.assert_array_equal(np.sort(row), np.flatnonzero(D[j]))
 
 
 def test_qc_determinism():
@@ -166,6 +170,33 @@ def test_random_regular_code_profiles():
         check_invariants(H)
         assert (H.row_weights == w).all()
         assert H.is_row_regular
+
+
+@pytest.mark.parametrize(
+    "shape, seed, digest",
+    [
+        ((16, 8, 3, 6), 0, "0378cb96a30e1c4f"),
+        ((24, 12, 3, 6), 1, "7ea220c4534fae62"),
+        ((30, 10, 2, 6), 2, "a3f025312f19a78b"),
+        ((10, 30, 3, 1), 3, "9a6a64d3bdc0a955"),
+        ((20, 10, 1, 2), 4, "f65b9c94d334a4da"),
+        ((200, 100, 3, 6), 6, "3350161b4721ddb5"),
+        ((96, 48, 5, 10), 7, "26d099bb42a96ddd"),
+        ((4006, 2003, 13, 26), 10, "1cc715f4e4290a67"),
+    ],
+)
+def test_random_regular_code_is_pinned(shape, seed, digest):
+    # the stub swaps and their rng draws fix the code bit for bit
+    H = random_regular_code(*shape, make_rng(seed))
+    assert hashlib.sha256(H.col_supports.astype("<i4").tobytes()).hexdigest()[:16] == digest
+
+
+def test_random_regular_code_gives_up(monkeypatch):
+    # a (6, 12)-regular code on 12 columns puts every column in every row;
+    # the random swaps do not reach it in a few steps
+    monkeypatch.setattr(codes_module, "_MAX_SWAPS", 50)
+    with pytest.raises(RuntimeError, match=r"^no simple \(6,12\)-regular graph found in 50 swaps$"):
+        random_regular_code(12, 6, 6, 12, make_rng(9))
 
 
 def test_random_regular_code_rejects_bad_profile():

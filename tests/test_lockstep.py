@@ -11,7 +11,15 @@ import pytest
 
 from bfkit import codes as codes_module
 from bfkit import decoders
-from bfkit.codes import CodeIndex, QcSeedSpec, generate_qc, random_regular_code, sample_error, syndrome
+from bfkit.codes import (
+    CodeIndex,
+    QcSeedSpec,
+    generate_qc,
+    random_regular_code,
+    sample_error,
+    save_code,
+    syndrome,
+)
 from bfkit.decoders import (
     DECODERS,
     OpCounts,
@@ -21,7 +29,7 @@ from bfkit.decoders import (
     decode_group,
 )
 from bfkit.rng import make_rng
-from bfkit.simulate import FreshQcSource, SimPlan, run_sim
+from bfkit.simulate import FreshQcSource, QcCodeSource, SimPlan, run_sim
 
 from helpers import (
     bf_decode_dense_reference,
@@ -154,7 +162,8 @@ def test_code_index_matches_tables(kind):
                 assert sorted(checks.tolist()) == H.col_supports[c].tolist()
         rows = np.array([[j % H.r for j in range(3)] for H in chosen])
         cols, lengths = idx.row_columns(rows)
-        expected = [H.row_support(int(j)).tolist() for H, row in zip(chosen, rows) for j in row]
+        dense = [dense_matrix(H) for H in chosen]
+        expected = [np.flatnonzero(D[j]).tolist() for D, row in zip(dense, rows) for j in row]
         lengths = np.broadcast_to(lengths, len(expected)).tolist()
         got = np.split(cols, np.cumsum(lengths)[:-1])
         assert [sorted(g.tolist()) for g in got] == expected
@@ -180,6 +189,23 @@ def test_qc_tables_are_built_on_first_use():
         for c in (0, 4, 148):
             expected = sorted((int(x) + c) % 149 for x in first)
             assert H.col_supports[b * 149 + c].tolist() == expected
+
+
+def test_qc_code_is_never_expanded(tmp_path):
+    # every path a quasi-cyclic key takes reads its first columns only: no
+    # (n, v) column table and no row table is ever built
+    source = QcCodeSource(149, 5, 3)
+    H = source.code
+    e = sample_error(H.n, 8, make_rng(1))
+    s = syndrome(H, e)
+    for decoder in DECODERS:
+        thresholds = (3,) * 8 if decoder == "bf" else None
+        decode(decoder, H, s, 8, thresholds=thresholds, tie_seed=2)
+        decode_group(decoder, CodeIndex([H, H]), np.stack([s.bits] * 2), 8,
+                     thresholds=thresholds, tie_seeds=[2, 3])
+    run_sim(SimPlan(source=source, t=8, max_trials=64, master_seed=4))
+    save_code(H, tmp_path / "qc.code", qc_compact=True)
+    assert "_row_csr" not in H.__dict__ and "col_supports" not in H.__dict__
 
 
 @pytest.mark.parametrize("tie_words", [decoders._TIE_WORDS, 2], ids=["read-ahead", "refilled"])
